@@ -2,14 +2,27 @@
 
 A TensorElement is an element of k[G]^(tensor rank) stored as a dict from
 index tuples to nonzero scalars.  Products are componentwise group-algebra
-convolutions.  Inversion works inside the group algebra of the subgroup of
-G^rank generated by the support, via the minimal polynomial of the left
-multiplication operator (Krylov iteration with exact elimination); the result
-is always re-verified as a two-sided inverse.
+convolutions.  Inversion works inside the group algebra of the subgroup S of
+G^rank generated by the support, by the first route that applies:
+
+- Fourier: S abelian; t is diagonalized by the characters of S and inverted
+  pointwise.
+- central split: the center Z of S is proper and nontrivial; k[S] splits
+  over the characters of Z into twisted group algebras of S/Z, and t is
+  inverted in each by a dense solve.
+- Krylov: otherwise; the minimal polynomial of left multiplication by t is
+  found by exact elimination.
+
+Every result is re-verified as a two-sided inverse.  AbelianCharacters is
+the shared character layer: the zeta_N power table and the mixed-radix
+transform (_axis_dft along each axis) behind the first two routes, the
+character battery of catalog, and the character sums of movshev and
+constructions.
 """
 from __future__ import annotations
 
-from math import gcd
+import itertools
+from math import gcd, lcm
 
 from .scalars import ScalarError
 
@@ -205,10 +218,6 @@ class TensorElement:
         return TensorElement(group, len(key), field, {key: field.one()},
                              prune=False)
 
-    def copy(self):
-        return TensorElement(self.group, self.rank, self.field,
-                             dict(self.coeffs), prune=False)
-
     # -- linear structure --------------------------------------------------------
 
     def __add__(self, other):
@@ -361,13 +370,6 @@ class TensorElement:
             w = out.get(key)
             out[key] = v if w is None else w + v
         return TensorElement(self.group, self.rank - 1, self.field, out)
-
-    def map_elements(self, new_group, elem_map):
-        """Transport along an injective map of group elements (index list)."""
-        out = {}
-        for k, v in self.coeffs.items():
-            out[tuple(elem_map[a] for a in k)] = v
-        return TensorElement(new_group, self.rank, self.field, out, prune=False)
 
     def outer(self, other):
         """Tensor product: concatenate legs."""
@@ -541,6 +543,85 @@ def _axis_dft(vals, sizes, strides, axis, roots, zero):
     return out
 
 
+def _strides(sizes):
+    """Mixed-radix strides of a flat array, first size slowest."""
+    strides = [0] * len(sizes)
+    acc = 1
+    for i in range(len(sizes) - 1, -1, -1):
+        strides[i] = acc
+        acc *= sizes[i]
+    return strides
+
+
+class AbelianCharacters:
+    """The characters of a finite abelian group in fixed cyclic coordinates.
+
+    The group is Z/d_1 x ... x Z/d_m for the given orders, and coords maps
+    each member to its coordinate tuple.  Characters carry the same
+    coordinates: chi_s(g) = zeta_N^e(s, g) with e(s, g) = sum_i s_i g_i N/d_i
+    and N = lcm(d_i), so adding indices multiplies characters and index 0
+    is the trivial character.  powers[k] is zeta_N^k.
+
+    Values live in flat mixed-radix arrays, first coordinate slowest; pos
+    maps each member to its slot, which is also the index of the character
+    with the same coordinates.  A rank-r array holds n^r values, first leg
+    slowest.  forward sends x to s -> sum_g chi_s(g) x_g on every leg;
+    inverse does the same with conjugate characters, so inverse(forward(x))
+    is n^r x.
+    """
+
+    __slots__ = ("orders", "field", "N", "powers", "pos")
+
+    def __init__(self, orders, coords, field):
+        self.orders = tuple(orders)
+        self.field = field
+        self.N = N = lcm(*self.orders)
+        root = field.primitive_root(N)
+        powers = [field.one()]
+        for _ in range(N - 1):
+            powers.append(powers[-1] * root)
+        self.powers = powers
+        strides = _strides(self.orders)
+        self.pos = {g: sum(c * s for c, s in zip(cs, strides))
+                    for g, cs in coords.items()}
+
+    @classmethod
+    def of_group(cls, group, field):
+        """Characters of an AbelianGroup in its own factor coordinates; the
+        slot of each member is its group index."""
+        factors = getattr(group, "factors", None)
+        if factors is None:
+            raise AlgebraError(f"{group.name} is not given by cyclic factors")
+        return cls(factors, {g: group.tuple_of(g) for g in range(group.order)},
+                   field)
+
+    def exponents(self):
+        """Dense table e[s][p] over character indices s and slots p: chi_s
+        takes the member in slot p to powers[e[s][p]]."""
+        N = self.N
+        digits = list(itertools.product(*(range(d) for d in self.orders)))
+        weights = [N // d for d in self.orders]
+        scaled = [[c * w for c, w in zip(g, weights)] for g in digits]
+        return [[sum(a * b for a, b in zip(s, g)) % N for g in scaled]
+                for s in digits]
+
+    def forward(self, vals, rank=1):
+        return self._transform(vals, rank, 1)
+
+    def inverse(self, vals, rank=1):
+        return self._transform(vals, rank, -1)
+
+    def _transform(self, vals, rank, sign):
+        N, powers = self.N, self.powers
+        sizes = self.orders * rank
+        strides = _strides(sizes)
+        zero = self.field.zero()
+        for axis, d in enumerate(sizes):
+            roots = [powers[sign * (N // d) * j % N] for j in range(d)]
+            vals = _axis_dft(vals, sizes, strides, axis, roots, zero)
+        return vals
+
+
 def _fourier_invert(t, members):
     """Invert t through its character values, for abelian support.
 
@@ -566,46 +647,24 @@ def _fourier_invert(t, members):
     decomp = abelian_basis(members, mul, ident)
     if decomp is None:
         return None
-    orders, dlog = decomp
-    m = 1
-    for d in orders:
-        m = m * d // gcd(m, d)
     try:
-        zeta = field.primitive_root(m) if m > 1 else field.one()
+        chars = AbelianCharacters(*decomp, field)
     except ScalarError:
         return None
-    zpow = [field.one()]
-    for _ in range(m - 1):
-        zpow.append(zpow[-1] * zeta)
-    strides = [0] * len(orders)
-    acc = 1
-    for i in range(len(orders) - 1, -1, -1):
-        strides[i] = acc
-        acc *= orders[i]
-
-    def pos(coords):
-        return sum(c * s for c, s in zip(coords, strides))
-
-    zero = field.zero()
-    vals = [zero] * n
+    pos = chars.pos
+    vals = [field.zero()] * n
     for key, c in t.coeffs.items():
-        vals[pos(dlog[key])] = c
-    for ax, d in enumerate(orders):
-        roots = [zpow[(m // d) * j % m] for j in range(d)]
-        vals = _axis_dft(vals, orders, strides, ax, roots, zero)
+        vals[pos[key]] = c
     inv_vals = []
-    for v in vals:
+    for v in chars.forward(vals):
         if not v:
             raise AlgebraError("element is a zero divisor (not invertible)")
         inv_vals.append(v.inverse())
-    vals = inv_vals
-    for ax, d in enumerate(orders):
-        roots = [zpow[(m - (m // d) * j % m) % m] for j in range(d)]
-        vals = _axis_dft(vals, orders, strides, ax, roots, zero)
+    vals = chars.inverse(inv_vals)
     scale = field.from_int(n).inverse()
     coeffs = {}
     for key in members:
-        v = vals[pos(dlog[key])]
+        v = vals[pos[key]]
         if v:
             coeffs[key] = v * scale
     return TensorElement(t.group, t.rank, field, coeffs, prune=False)
@@ -638,23 +697,11 @@ def _central_split_invert(t, members):
     decomp = abelian_basis(center, mul, ident)
     if decomp is None:
         return None
-    orders, dlog = decomp
-    m = 1
-    for d in orders:
-        m = m * d // gcd(m, d)
     try:
-        zeta = field.primitive_root(m) if m > 1 else field.one()
+        chars = AbelianCharacters(*decomp, field)
     except ScalarError:
         return None
-    zpow = [field.one()]
-    for _ in range(m - 1):
-        zpow.append(zpow[-1] * zeta)
-    strides = [0] * len(orders)
-    acc = 1
-    for i in range(len(orders) - 1, -1, -1):
-        strides[i] = acc
-        acc *= orders[i]
-    zindex = {z: sum(c * s for c, s in zip(dlog[z], strides)) for z in center}
+    zpos = chars.pos
     # build coset transversal of Z in S
     coset_of = {}
     reps = []
@@ -669,55 +716,36 @@ def _central_split_invert(t, members):
     rep_inv = [tuple(invtab[a] for a in r) for r in reps]
     # z part of any element: rep(q)^-1 * s lies in Z
     zpart = {s: mul(rep_inv[coset_of[s]], s) for s in members}
-    # character value table: chars[c][zpos] = chi_c(z) as a field scalar
-    chars = []
-    for cpos in range(nz):
-        cc = []
-        rem = cpos
-        for si in strides:
-            cc.append(rem // si)
-            rem -= (rem // si) * si
-        row = [None] * nz
-        for z, zpos in zindex.items():
-            e = 0
-            for ci, ei, di in zip(cc, dlog[z], orders):
-                e += ci * ei * (m // di)
-            row[zpos] = zpow[e % m]
-        chars.append(row)
     zero = field.zero()
+    # t rep(q') = sum_key t_key rep(q'') z with z = zpart(key rep(q')), and z
+    # acts on the chi-component by chi(z); so entry (q'', q') of left
+    # multiplication by t in every component is one transform over z
+    blocks = {}
+    for qp in range(nq):
+        for key, c in t.coeffs.items():
+            prod = mul(key, reps[qp])
+            vec = blocks.setdefault((coset_of[prod], qp), [zero] * nz)
+            p = zpos[zpart[prod]]
+            vec[p] = vec[p] + c
+    entries = [(qpp, qp, chars.forward(vec))
+               for (qpp, qp), vec in blocks.items()]
     unit_vec = [field.one() if q == coset_of[ident] else zero for q in range(nq)]
     inv_comps = []
     for cpos in range(nz):
-        row = chars[cpos]
-        # image of t in the chi-component, indexed by cosets
-        xv = [zero] * nq
-        for key, c in t.coeffs.items():
-            xv[coset_of[key]] = xv[coset_of[key]] + c * row[zindex[zpart[key]]]
-        # left multiplication matrix in the twisted coset algebra
         mrows = [[zero] * nq for _ in range(nq)]
-        for q in range(nq):
-            if not xv[q]:
-                continue
-            for qp in range(nq):
-                prod = mul(reps[q], reps[qp])
-                qpp = coset_of[prod]
-                tw = row[zindex[zpart[prod]]]
-                mrows[qpp][qp] = mrows[qpp][qp] + xv[q] * tw
+        for qpp, qp, vals in entries:
+            mrows[qpp][qp] = vals[cpos]
         sol = mat_solve(mrows, unit_vec, nq, field)
         if sol is None:
             raise AlgebraError("element is a zero divisor (not invertible)")
         inv_comps.append(sol)
     # reassemble: coefficient at rep(q)*z is |Z|^-1 sum_chi chi(z)^-1 y_chi[q]
+    by_coset = [chars.inverse([comp[q] for comp in inv_comps])
+                for q in range(nq)]
     scale = field.from_int(nz).inverse()
     coeffs = {}
     for s in members:
-        q = coset_of[s]
-        zpos = zindex[zpart[s]]
-        acc = zero
-        for cpos in range(nz):
-            y = inv_comps[cpos][q]
-            if y:
-                acc = acc + chars[cpos][zpos].inverse() * y
+        acc = by_coset[coset_of[s]][zpos[zpart[s]]]
         if acc:
             coeffs[s] = acc * scale
     return TensorElement(t.group, t.rank, field, coeffs, prune=False)

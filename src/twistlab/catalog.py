@@ -30,7 +30,8 @@ from .groups import (PairingChar, abelian_group, action_from_generator_images,
                      alternating4, dihedral, direct_product, is_isomorphic,
                      isomorphisms, make_cyclic, quaternion8, symmetric,
                      trivial_action)
-from .algebra import TensorElement, abelian_basis, mat_rank, regular_trace
+from .algebra import (AbelianCharacters, TensorElement, abelian_basis,
+                      mat_rank, regular_trace)
 from .twists import (CheckReport, check_triangular, drinfeld_element,
                      leg_span_rank, r_matrix, r_u, twisted_antipode,
                      verify_minimal, verify_twist)
@@ -87,31 +88,15 @@ class AbelianTwistTable:
         if field.characteristic and n % field.characteristic == 0:
             raise CatalogError("field characteristic divides the group order")
         orders, dlog, _ = abelian_coordinates(group)
-        N = lcm(*orders) if orders else 1
-        root = field.primitive_root(N)
-        powers = [field.one()]
-        for _ in range(N - 1):
-            powers.append(powers[-1] * root)
-        weights = [N // d for d in orders]
-        coords = [dlog[g] for g in range(n)]
+        chars = AbelianCharacters(orders, dlog, field)
+        pos = chars.pos
+        vals = [field.zero()] * (n * n)
+        for (a, b), v in J.coeffs.items():
+            vals[pos[a] * n + pos[b]] = v
+        flat = chars.forward(vals, rank=2)
+        jhat = [flat[s:s + n] for s in range(0, n * n, n)]
         tuples = list(itertools.product(*[range(d) for d in orders]))
         index_of = {t: i for i, t in enumerate(tuples)}
-        chars = []
-        for s in tuples:
-            chars.append([powers[sum(si * gi * w for si, gi, w in
-                                     zip(s, coords[g], weights)) % N]
-                          for g in range(n)])
-        zero = field.zero()
-        jhat = [[zero] * n for _ in range(n)]
-        for (a, b), v in J.coeffs.items():
-            if not v:
-                continue
-            col = [chars[t][b] * v for t in range(n)]
-            for s in range(n):
-                ca = chars[s][a]
-                row = jhat[s]
-                for t in range(n):
-                    row[t] = row[t] + ca * col[t]
         self.group = group
         self.field = field
         self.orders = tuple(orders)
@@ -636,10 +621,7 @@ def rep_from_bicharacter(sub, coords, E, field):
     dim = prod(ds)
     if dim * dim != sub.order:
         raise CatalogError("the form does not split the group evenly")
-    root = field.primitive_root(N)
-    powers = [field.one()]
-    for _ in range(N - 1):
-        powers.append(powers[-1] * root)
+    powers = AbelianCharacters(orders, dlog, field).powers
 
     def addc(v, w):
         return tuple((a + b) % d for a, b, d in zip(v, w, orders))
@@ -824,10 +806,6 @@ def transport_isomorphism(q1, q2):
     return search(0, [])
 
 
-def quadruples_equivalent(q1, q2):
-    return transport_isomorphism(q1, q2) is not None
-
-
 def enumerate_quadruples(N, field=None, dedup=None, seed=0):
     """All catalog quadruples with |G| = N, realized and certified.
 
@@ -984,10 +962,6 @@ class ScanEntry:
         self.action = action
         self.cocycles = cocycles
         self.classes = classes
-
-    @property
-    def class_representatives(self):
-        return [self.cocycles[rep] for rep, _ in self.classes]
 
 
 def finder_scan(max_order=8):

@@ -266,6 +266,8 @@ def cmd_verify_eq2345(args):
 
 
 def cmd_classify(args):
+    if args.order < 1:
+        raise FormatError(f"--order must be at least 1, found {args.order}")
     field = _field_of(args)
     dedup = True if args.dedup else None
     data = enumerate_quadruples(args.order, field=field, dedup=dedup,

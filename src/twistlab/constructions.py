@@ -23,12 +23,10 @@ import random
 from fractions import Fraction
 
 from .scalars import CyclotomicField
-from .groups import (
-    AbelianGroup, PairingChar, dual_action, semidirect_product,
-)
+from .groups import AbelianGroup, dual_action, semidirect_product
 from .algebra import (
-    TensorElement, StructureConstantAlgebra, mat_mul, mat_solve,
-    mat_nullspace, mat_ratio,
+    AbelianCharacters, TensorElement, StructureConstantAlgebra, mat_mul,
+    mat_solve, mat_nullspace, mat_ratio,
 )
 from .twists import CheckReport, verify_twist, r_matrix, verify_minimal
 from .movshev import dual_movshev, equivariant_iso_report
@@ -372,28 +370,20 @@ def cocycle_ambient_group(data):
     return semidirect_product(data.G, dual.A, dual)
 
 
-def _pairing_powers(A, field):
-    pairing = PairingChar(A)
-    z = field.primitive_root(pairing.N)
-    powers = [field.one()]
-    for _ in range(pairing.N - 1):
-        powers.append(powers[-1] * z)
-    return pairing, powers
-
-
 def cocycle_twist_tensor(data, field=None, H=None):
     """The raw tensor |A|^{-1} sum e^{(pi(g), b)} b (x) g on k[H], unverified."""
     field = field or CyclotomicField()
     H = H or cocycle_ambient_group(data)
     G, A = data.G, data.A
     nG = G.order
-    pairing, powers = _pairing_powers(A, field)
+    chars = AbelianCharacters.of_group(A, field)
+    E, powers = chars.exponents(), chars.powers
     inv_A = field.from_fraction(Fraction(1, A.order))
     coeffs = {}
     for g in range(nG):
         pg = data.pi[g]
         for b in range(A.order):
-            val = powers[pairing.exponent(pg, b)] * inv_A
+            val = powers[E[pg][b]] * inv_A
             coeffs[(b * nG + G.identity, g)] = val
     return TensorElement(H, 2, field, coeffs, prune=False)
 
@@ -425,7 +415,8 @@ def heisenberg_rep(data, field=None, H=None):
     H = H or cocycle_ambient_group(data)
     G, A = data.G, data.A
     nG, dA = G.order, A.order
-    pairing, powers = _pairing_powers(A, field)
+    chars = AbelianCharacters.of_group(A, field)
+    E, powers = chars.exponents(), chars.powers
     zero = field.zero()
     mats = []
     for b in range(dA):
@@ -433,7 +424,7 @@ def heisenberg_rep(data, field=None, H=None):
             mat = [[zero] * dA for _ in range(dA)]
             for a in range(dA):
                 tgt = A.add(data.action.act(g, a), data.pi[g])
-                mat[tgt][a] = powers[-pairing.exponent(tgt, b) % pairing.N]
+                mat[tgt][a] = powers[-E[tgt][b] % chars.N]
             mats.append(mat)
     rep = ProjectiveRep(H, mats, field)
     if commutant_dimension(rep) != 1:
@@ -468,7 +459,8 @@ def cocycle_end_images(data, field=None):
     field = field or CyclotomicField()
     G, A = data.G, data.A
     nG, dA = G.order, A.order
-    pairing, powers = _pairing_powers(A, field)
+    chars = AbelianCharacters.of_group(A, field)
+    E, powers = chars.exponents(), chars.powers
     inv_A = field.from_fraction(Fraction(1, dA))
     zero = field.zero()
     pi = data.pi
@@ -476,9 +468,9 @@ def cocycle_end_images(data, field=None):
     for b in range(dA):
         for g in range(nG):
             mat = [[zero] * dA for _ in range(dA)]
-            lead = powers[-pairing.exponent(pi[g], b) % pairing.N] * inv_A
+            lead = powers[-E[pi[g]][b] % chars.N] * inv_A
             for a in range(dA):
-                mat[pi[g]][a] = lead * powers[pairing.exponent(a, b)]
+                mat[pi[g]][a] = lead * powers[E[a][b]]
             images.append(mat)
     return images
 
@@ -501,7 +493,8 @@ def verify_eq2345(data, field=None):
     G, A = data.G, data.A
     nG, dA = G.order, A.order
     n = H.order
-    pairing, powers = _pairing_powers(A, field)
+    chars = AbelianCharacters.of_group(A, field)
+    E, powers = chars.exponents(), chars.powers
     dualact = H.action
     twist = twist_from_1cocycle(data, field, H)
     rep = heisenberg_rep(data, field, H)
@@ -512,7 +505,7 @@ def verify_eq2345(data, field=None):
     report = CheckReport(f"product formulas for the twist on {H.name}")
 
     def e_val(a_idx, b_idx):
-        return powers[pairing.exponent(a_idx, b_idx)]
+        return powers[E[a_idx][b_idx]]
 
     ok, witness = True, ""
     for b in range(dA):

@@ -465,7 +465,8 @@ class PairingChar:
 
     For A = prod Z/d_i both sides are indexed by the same tuple coordinates and
     e(a, b) = prod_i zeta_{d_i}^{a_i b_i}.  Values are returned as exponents of
-    zeta_N with N = lcm(d_i); scalar values are produced against a field handle.
+    zeta_N with N = lcm(d_i); algebra.AbelianCharacters carries the same
+    pairing with values in a field.
     """
 
     def __init__(self, A):
@@ -482,10 +483,6 @@ class PairingChar:
         for x, y, d in zip(a, b, self.A.factors):
             t += x * y * (self.N // d)
         return t % self.N
-
-    def value(self, field, a_idx, b_idx):
-        z = field.primitive_root(self.N)
-        return z ** self.exponent(a_idx, b_idx)
 
     def is_nondegenerate(self):
         rows = {tuple(self.exponent(a, b) for b in range(self.A.order))

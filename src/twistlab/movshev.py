@@ -9,10 +9,10 @@ over abelian groups, and matches B against projective representations by
 H-equivariant algebra isomorphisms.
 
 All spectral work is done through exact character arithmetic: abelian
-characters, Fourier transforms, and k-th roots extracted in closed form
-(roots of unity, rationals, or quadratic cyclotomic fields).  When a root
-does not exist over the working field the routines raise rather than
-approximate.
+characters and their transforms (algebra.AbelianCharacters), and k-th
+roots extracted in closed form (roots of unity, rationals, or quadratic
+cyclotomic fields).  When a root does not exist over the working field the
+routines raise rather than approximate.
 """
 from __future__ import annotations
 
@@ -21,8 +21,9 @@ from fractions import Fraction
 from .scalars import Cyc, Fp, euler_phi, exact_root, divisors, factorize
 from .groups import AbelianGroup
 from .algebra import (
-    AlgebraError, TensorElement, algebra_invert, hopf_coproduct, hopf_counit,
-    dualize_coalgebra, mat_rank, mat_mul, mat_inverse, mat_ratio, vec_ratio,
+    AbelianCharacters, AlgebraError, TensorElement, algebra_invert,
+    hopf_coproduct, hopf_counit, dualize_coalgebra, mat_rank, mat_mul,
+    mat_inverse, mat_ratio, vec_ratio,
 )
 from .twists import CheckReport
 
@@ -148,83 +149,6 @@ def count_grouplikes(twist):
     counit = [field.one()] * group.order
     alg = dualize_coalgebra(rows, counit, field, validate=False)
     return alg.abelianization_dimension()
-
-
-# ---------------------------------------------------------------------------
-# abelian characters and Fourier transforms
-
-class CharacterTable:
-    """All characters of a finite abelian group, indexed like the group.
-
-    Character index t evaluates at g as zeta_N^(sum_i t_i g_i N/d_i) for the
-    factor decomposition (d_1, ..., d_m) with N their lcm.  Character
-    multiplication is index addition.
-    """
-
-    __slots__ = ("group", "field", "N", "values")
-
-    def __init__(self, group, field):
-        if not isinstance(group, AbelianGroup):
-            raise MovshevError("character tables need an abelian group")
-        self.group = group
-        self.field = field
-        factors = group.factors
-        from math import lcm
-        N = 1
-        for d in factors:
-            N = lcm(N, d)
-        self.N = N
-        root = field.primitive_root(N) if N > 1 else field.one()
-        powers = [field.one()]
-        for _ in range(N - 1):
-            powers.append(powers[-1] * root)
-        n = group.order
-        self.values = []
-        for t in range(n):
-            tt = group.tuple_of(t)
-            row = []
-            for g in range(n):
-                gg = group.tuple_of(g)
-                e = 0
-                for ti, gi, d in zip(tt, gg, factors):
-                    e += ti * gi * (N // d)
-                row.append(powers[e % N])
-            self.values.append(row)
-
-    def value(self, t, g):
-        return self.values[t][g]
-
-    def conj_value(self, t, g):
-        return self.values[t][self.group.neg(g)]
-
-
-def fourier_transform(x, chars):
-    """List over character indices t of sum_g chi_t(g) x_g."""
-    out = []
-    zero = chars.field.zero()
-    for t in range(chars.group.order):
-        row = chars.values[t]
-        acc = zero
-        for (g,), v in x.coeffs.items():
-            acc = acc + row[g] * v
-        out.append(acc)
-    return out
-
-
-def inverse_fourier(vals, chars):
-    """The rank-1 tensor with the given character transform."""
-    group, field = chars.group, chars.field
-    n = group.order
-    inv_n = field.from_fraction(Fraction(1, n))
-    coeffs = {}
-    for g in range(n):
-        acc = field.zero()
-        for t in range(n):
-            acc = acc + vals[t] * chars.conj_value(t, g)
-        acc = acc * inv_n
-        if acc:
-            coeffs[(g,)] = acc
-    return TensorElement(group, 1, field, coeffs, prune=False)
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +369,13 @@ def kth_root_scalar(v, k, field):
 # ---------------------------------------------------------------------------
 # character cocycle splitting
 
-def solve_character_cocycle(chars, q):
+def solve_character_cocycle(group, field, q):
     """Values t with t(0) = 1 and t(i + j) = t(i) t(j) q(i, j) along a
     spanning set, or None when a required root does not exist.
 
-    q maps a pair of character indices to a nonzero scalar.  The t values on
+    Characters of the AbelianGroup group carry its element indices (see
+    AbelianCharacters.of_group), so index addition is group addition; q
+    maps a pair of character indices to a nonzero scalar.  The t values on
     each cyclic factor are pinned by closing the cycle: t(gamma)^d multiplied
     by the telescoping q-product must be 1, so t(gamma) is a d-th root of an
     explicit scalar (any choice differs by a character and is equally good).
@@ -457,7 +383,6 @@ def solve_character_cocycle(chars, q):
     Callers must verify the assembled object; consistency of q is not
     assumed.
     """
-    group, field = chars.group, chars.field
     n = group.order
     t = {group.identity: field.one()}
     m = len(group.factors)
@@ -509,25 +434,21 @@ def trivialize_symmetric_twist(twist):
     if not isinstance(group, AbelianGroup):
         raise MovshevError(
             "trivialization is supported over abelian base groups only")
-    chars = CharacterTable(group, field)
+    chars = AbelianCharacters.of_group(group, field)
     n = group.order
-    # Jhat[i][j] = (chi_i (x) chi_j)(J), leg by leg
-    half = {}
+    # jhat[i * n + j] = (chi_i (x) chi_j)(J)
+    vals = [field.zero()] * (n * n)
     for (a, b), v in twist.J.coeffs.items():
-        for i in range(n):
-            key = (i, b)
-            w = chars.values[i][a] * v
-            cur = half.get(key)
-            half[key] = w if cur is None else cur + w
-    jhat = [[field.zero()] * n for _ in range(n)]
-    for (i, b), v in half.items():
-        for j in range(n):
-            jhat[i][j] = jhat[i][j] + chars.values[j][b] * v
-    t = solve_character_cocycle(chars, lambda i, j: jhat[i][j])
+        vals[a * n + b] = v
+    jhat = chars.forward(vals, rank=2)
+    t = solve_character_cocycle(group, field, lambda i, j: jhat[i * n + j])
     if t is None:
         raise MovshevError(
             "a required root does not exist over the working field")
-    x = inverse_fourier(t, chars)
+    inv_n = field.from_fraction(Fraction(1, n))
+    x = TensorElement(group, 1, field,
+                      {(g,): v * inv_n for g, v in enumerate(chars.inverse(t))
+                       if v}, prune=False)
     try:
         x_inv = algebra_invert(x)
     except AlgebraError as exc:
@@ -541,17 +462,6 @@ def trivialize_symmetric_twist(twist):
 
 # ---------------------------------------------------------------------------
 # equivariant matching against projective representations
-
-def matrix_units(d, field):
-    zero, one = field.zero(), field.one()
-    units = {}
-    for i in range(d):
-        for j in range(d):
-            m = [[zero] * d for _ in range(d)]
-            m[i][j] = one
-            units[(i, j)] = m
-    return units
-
 
 def equivariant_iso_report(M, rep, images):
     """Certify images: Y_x -> End(V) as a unital H-equivariant algebra iso.
@@ -629,12 +539,14 @@ def derive_equivariant_iso(M, rep):
     d = rep.dim
     if d * d != n:
         return None
-    chars = CharacterTable(group, field)
+    chars = AbelianCharacters.of_group(group, field)
+    powers, N = chars.powers, chars.N
+    E = chars.exponents()
     inv_n = field.from_fraction(Fraction(1, n))
     # lines in B: v_chi = (1/n) sum_h conj(chi)(h) Y_h
     v_lines = []
     for t in range(n):
-        v_lines.append({h: chars.conj_value(t, h) * inv_n for h in range(n)})
+        v_lines.append({h: powers[-E[t][h] % N] * inv_n for h in range(n)})
     # lines in End(V) under conjugation: project every matrix unit
     inv_mats = [mat_inverse(rep.matrices[h], field) for h in range(n)]
     w_lines = []
@@ -644,7 +556,7 @@ def derive_equivariant_iso(M, rep):
             for q in range(d):
                 proj = [[field.zero()] * d for _ in range(d)]
                 for h in range(n):
-                    coeff = chars.conj_value(t, h) * inv_n
+                    coeff = powers[-E[t][h] % N] * inv_n
                     mh, mi = rep.matrices[h], inv_mats[h]
                     for i in range(d):
                         if mh[i][p]:
@@ -679,7 +591,7 @@ def derive_equivariant_iso(M, rep):
             raise MovshevError("line products fall outside the line pattern")
         return r_w * r_v.inverse()
     try:
-        t = solve_character_cocycle(chars, q)
+        t = solve_character_cocycle(group, field, q)
     except MovshevError:
         return None
     if t is None:
@@ -689,7 +601,7 @@ def derive_equivariant_iso(M, rep):
     for x in range(n):
         mat = [[field.zero()] * d for _ in range(d)]
         for c in range(n):
-            coeff = chars.values[c][x] * t[c]
+            coeff = powers[E[c][x]] * t[c]
             if coeff:
                 wc = w_lines[c]
                 for i in range(d):

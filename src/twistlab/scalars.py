@@ -602,8 +602,6 @@ class CyclotomicField:
     kind = "cyclotomic"
 
     def __init__(self, conductor=1):
-        n, _, _ = _normalize_conductor(max(conductor, 1), 1 % max(conductor, 1)) \
-            if conductor > 1 else (1, 0, 1)
         # keep the declared conductor as given (normalized away from 2 mod 4)
         if conductor % 4 == 2:
             conductor //= 2
@@ -748,10 +746,15 @@ def write_scalar(s):
 
 
 def parse_scalar(text):
+    """Inverse of write_scalar.  Raises ScalarError on a zero denominator
+    or modulus, an exponent outside 0..phi(n)-1 and a repeated exponent."""
     text = text.strip()
     if " mod " in text:
         v, p = text.split(" mod ")
-        return Fp(int(p), int(v))
+        p = int(p)
+        if p < 2:
+            raise ScalarError(f"modulus must be at least 2, found {p}")
+        return Fp(p, int(v))
     if not text.startswith("Q(z_"):
         raise ScalarError(f"cannot parse scalar {text!r}")
     close = text.index(")")
@@ -759,6 +762,7 @@ def parse_scalar(text):
     body = text[close + 1:].strip()
     ctx = _ctx(n)
     num = [Fraction(0)] * ctx.phi
+    seen = set()
     if body != "0":
         for term in body.split(" + "):
             term = term.strip()
@@ -767,10 +771,19 @@ def parse_scalar(text):
                 k = int(zs[1:]) if zs.startswith("^") else 1
             else:
                 cs, k = term, 0
+            if not 0 <= k < ctx.phi:
+                raise ScalarError(f"exponent {k} is outside 0..{ctx.phi - 1} "
+                                  f"in Q(z_{n})")
+            if k in seen:
+                raise ScalarError(f"exponent {k} appears twice")
+            seen.add(k)
             cs = cs.strip()
             if cs.startswith("(") and cs.endswith(")"):
                 cs = cs[1:-1]
-            num[k] = Fraction(cs)
+            try:
+                num[k] = Fraction(cs)
+            except ZeroDivisionError:
+                raise ScalarError(f"zero denominator in {cs!r}")
     den = 1
     for c in num:
         den = lcm(den, c.denominator)

@@ -81,12 +81,6 @@ class GroupAlgebraMap:
         self.field = field
         self.images = images
 
-    def __call__(self, x):
-        out = TensorElement.zero(self.group, 1, self.field)
-        for (g,), v in x.coeffs.items():
-            out = out + self.images[g].scale(v)
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, GroupAlgebraMap):
             return NotImplemented
@@ -198,24 +192,11 @@ def coassociativity_ok(twist):
     """Exact coassociativity of Delta_J on every basis element."""
     for g in range(twist.group.order):
         d = twist.coproduct_basis(g)
-        lhs = _apply_delta_leg(twist, d, 0)
-        rhs = _apply_delta_leg(twist, d, 1)
+        lhs = _delta_on_leg(twist.coproduct_basis, d, 0)
+        rhs = _delta_on_leg(twist.coproduct_basis, d, 1)
         if lhs != rhs:
             return False
     return True
-
-
-def _apply_delta_leg(twist, t, leg):
-    """Apply Delta_J to one 0-based leg of a rank-2 tensor."""
-    out = {}
-    for (a, b), v in t.coeffs.items():
-        d = twist.coproduct_basis(a if leg == 0 else b)
-        for (p, q), w in d.coeffs.items():
-            key = (p, q, b) if leg == 0 else (a, p, q)
-            vw = v * w
-            cur = out.get(key)
-            out[key] = vw if cur is None else cur + vw
-    return TensorElement(twist.group, 3, twist.field, out)
 
 
 def twisted_antipode(twist):
@@ -263,6 +244,7 @@ def _fold_map(t, smap, leg):
 def drinfeld_element(r, antipode, coproduct=None):
     """u = sum S'(b_i) a_i for R = sum a_i (x) b_i, with its certificates.
 
+    antipode is the GroupAlgebraMap S', as twisted_antipode returns it.
     Checks: u invertible, u central, u^2 = e, and (when a coproduct is
     supplied, as a map from basis index to rank-2 tensor) u grouplike for
     it.  Any failure raises.
@@ -271,9 +253,7 @@ def drinfeld_element(r, antipode, coproduct=None):
     table = group.table
     out = {}
     for (a, b), v in r.coeffs.items():
-        img = antipode.images[b] if isinstance(antipode, GroupAlgebraMap) \
-            else antipode(TensorElement.basis(group, (b,), field))
-        for (h,), w in img.coeffs.items():
+        for (h,), w in antipode.images[b].coeffs.items():
             key = (table[h][a],)
             vw = v * w
             cur = out.get(key)
@@ -345,20 +325,22 @@ def check_triangular(group, coproduct, r):
             break
     report.add("R-commutation with coproduct", comm_ok, comm_witness)
     # (Delta (x) I)(R) = R_13 R_23
-    lhs = _delta_on_leg(deltas, r, 0)
+    lhs = _delta_on_leg(deltas.__getitem__, r, 0)
     rhs = r.embed((1, 3), 3) * r.embed((2, 3), 3)
     report.add_equal("hexagon (Delta (x) I)R = R13 R23", lhs, rhs)
     # (I (x) Delta)(R) = R_13 R_12
-    lhs = _delta_on_leg(deltas, r, 1)
+    lhs = _delta_on_leg(deltas.__getitem__, r, 1)
     rhs = r.embed((1, 3), 3) * r.embed((1, 2), 3)
     report.add_equal("hexagon (I (x) Delta)R = R13 R12", lhs, rhs)
     return report
 
 
-def _delta_on_leg(deltas, r, leg):
+def _delta_on_leg(coproduct, r, leg):
+    """Apply a coproduct, given as a map from basis index to rank-2 tensor,
+    to one 0-based leg of a rank-2 tensor."""
     out = {}
     for (a, b), v in r.coeffs.items():
-        d = deltas[a if leg == 0 else b]
+        d = coproduct(a if leg == 0 else b)
         for (p, q), w in d.coeffs.items():
             key = (p, q, b) if leg == 0 else (a, p, q)
             vw = v * w

@@ -1,12 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from twistlab.scalars import CyclotomicField, PrimeField
+from twistlab.scalars import Cyc, CyclotomicField, PrimeField, ScalarError
 from twistlab.groups import make_cyclic, abelian_group, symmetric, dihedral
 from twistlab.algebra import (
-    AlgebraError, TensorElement, hopf_coproduct, hopf_counit, hopf_antipode,
+    AbelianCharacters, AlgebraError, TensorElement, abelian_basis, hopf_coproduct, hopf_counit, hopf_antipode,
     regular_trace, support_subgroup, algebra_invert, left_regular_matrix,
     mat_rref, mat_rank, mat_nullspace, mat_solve, mat_inverse, mat_mul,
     mat_vec, StructureConstantAlgebra, dualize_coalgebra,
@@ -295,3 +296,61 @@ def test_dualize_rejects_non_coassociative():
     counit = [Q.one(), Q.one()]
     with pytest.raises(AlgebraError):
         dualize_coalgebra(rows, counit, Q)
+
+
+def test_abelian_characters_match_dense_definition():
+    """forward is sum_g chi_s(g) x_g legwise and inverse(forward(x)) is
+    n^rank x, on factor coordinates and on abelian_basis coordinates."""
+    rng = random.Random(23)
+    A = abelian_group((2, 4))
+    own = (A.factors, {g: A.tuple_of(g) for g in range(A.order)})
+    basis = abelian_basis(list(range(A.order)), A.mul, A.identity)
+    assert basis[0] == [4, 2]          # the order-4 factor comes first
+    n = A.order
+    for orders, coords in (own, basis):
+        chars = AbelianCharacters(orders, coords, Q)
+        N = chars.N
+        assert N == 4 and chars.powers[1] == Cyc.root_of_unity(4)
+        digits = list(itertools.product(*(range(d) for d in orders)))
+
+        def chi(s, g):
+            e = sum(a * b * (N // d)
+                    for a, b, d in zip(digits[s], coords[g], orders))
+            return Cyc.root_of_unity(N, e)
+
+        for rank in (1, 2):
+            x = {key: rand_scalar(rng)
+                 for key in itertools.product(range(n), repeat=rank)}
+            flat = [Q.zero()] * n ** rank
+            for key, v in x.items():
+                flat[sum(chars.pos[g] * n ** (rank - 1 - i)
+                         for i, g in enumerate(key))] = v
+            got = chars.forward(flat, rank)
+            for i, s in enumerate(itertools.product(range(n), repeat=rank)):
+                want = Q.zero()
+                for key, v in x.items():
+                    for si, g in zip(s, key):
+                        v = v * chi(si, g)
+                    want = want + v
+                assert got[i] == want
+            scale = Q.from_int(n ** rank)
+            assert chars.inverse(got, rank) == [v * scale for v in flat]
+    # the exponent table is the pairing of factor coordinates
+    chars = AbelianCharacters.of_group(A, Q)
+    E = chars.exponents()
+    for s in range(n):
+        for g in range(n):
+            assert E[s][g] == sum(a * b * (4 // d) for a, b, d in
+                                  zip(A.tuple_of(s), A.tuple_of(g),
+                                      A.factors)) % 4
+    # prime fields: the root table lives in F_p, a missing root raises
+    F = PrimeField(17, 16)
+    chars = AbelianCharacters.of_group(A, F)
+    assert chars.powers[1] == F.primitive_root(4)
+    vals = [F.from_int(rng.randrange(17)) for _ in range(n)]
+    assert chars.inverse(chars.forward(vals)) == \
+        [v * F.from_int(n) for v in vals]
+    with pytest.raises(ScalarError):
+        AbelianCharacters.of_group(A, PrimeField(7))
+    with pytest.raises(AlgebraError):
+        AbelianCharacters.of_group(symmetric(3), Q)

@@ -1,6 +1,9 @@
+import itertools
+from math import lcm
+
 import pytest
 
-from twistlab.scalars import CyclotomicField
+from twistlab.scalars import Cyc, CyclotomicField
 from twistlab.groups import abelian_group, make_cyclic, symmetric
 from twistlab.twists import check_triangular, leg_span_rank, r_matrix
 from twistlab.movshev import count_grouplikes, dual_movshev
@@ -183,6 +186,36 @@ def test_battery_matches_generic_engines():
         M = dual_movshev(tw)
         assert M.algebra.center_dimension() == table.center_count()
         assert count_grouplikes(tw) == table.grouplike_count()
+
+
+def test_table_transform_matches_dense_sum():
+    """jhat[s][t] = sum chi_s(a) chi_t(b) J_ab on every abelian finder
+    twist with |H| <= 16."""
+    checked = 0
+    for entry in finder_scan(max_order=4):
+        for data in entry.cocycles:
+            J = cocycle_twist_tensor(data)
+            H = J.group
+            if not H.is_abelian():
+                continue
+            table = AbelianTwistTable(J)
+            orders, dlog, _ = abelian_coordinates(H)
+            N = lcm(*orders)
+            digits = list(itertools.product(*(range(d) for d in orders)))
+
+            def chi(s, a):
+                return Cyc.root_of_unity(N, sum(
+                    x * y * (N // d)
+                    for x, y, d in zip(digits[s], dlog[a], orders)))
+
+            for s in range(H.order):
+                for t in range(H.order):
+                    want = sum((chi(s, a) * chi(t, b) * v
+                                for (a, b), v in J.coeffs.items()),
+                               Cyc.from_int(0))
+                    assert table.jhat[s][t] == want
+            checked += 1
+    assert checked == 11
 
 
 def test_battery_rejects_bad_input():

@@ -1,11 +1,14 @@
 """Document formats and the command line surface."""
 
+import hashlib
+
 import pytest
 
 from twistlab.scalars import CyclotomicField, PrimeField
 from twistlab.groups import (abelian_group, action_from_generator_images,
-                             dihedral, make_cyclic, trivial_action)
-from twistlab.algebra import TensorElement
+                             dihedral, make_cyclic, symmetric, trivial_action)
+from twistlab.algebra import (TensorElement, algebra_invert, hopf_coproduct,
+                              hopf_counit)
 from twistlab.twists import gauge_transform, identity_twist, verify_twist
 from twistlab.constructions import (find_bijective_1cocycles, heisenberg_rep,
                                     twist_from_1cocycle)
@@ -348,6 +351,31 @@ def test_exit_codes_and_diagnostics(tmp_path, capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("value", [
+    "Q(z_1) (1/0)", "Q(z_4) 1*z^7", "5 mod 0", "Q(z_4) 1*z^-1",
+    "Q(z_4) 1*z + 2*z",
+])
+def test_hostile_scalar_is_a_parse_error(tmp_path, capsys, value):
+    lines = formats.format_tensor(
+        twist_from_1cocycle(v4_cocycles()[1]).J).splitlines()
+    entry_at = next(i for i, l in enumerate(lines) if l.startswith("entry"))
+    key, _ = lines[entry_at].split(" : ")
+    lines[entry_at] = f"{key} : {value}"
+    doc = tmp_path / "hostile.txt"
+    doc.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "verify-twist", "--twist", str(doc))
+    assert code == 2
+    assert f"parse error: line {entry_at + 1}: bad scalar" in err
+    assert "Traceback" not in err
+
+
+def test_classify_rejects_order_below_one(capsys):
+    code, out, err = run_cli(capsys, "classify", "--order", "0")
+    assert code == 2
+    assert "parse error" in err and "--order" in err
+    assert "Traceback" not in err
+
+
 def test_classify_small_orders(tmp_path, capsys):
     out_file = tmp_path / "cls.txt"
     code, out, err = run_cli(capsys, "classify", "--order", "2", "--out",
@@ -390,3 +418,97 @@ def test_catalog_list(capsys):
     assert [r[1] for r in rows] == [
         "C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "D3", "C7", "C8",
         "D4", "Q8", "C2xC4", "C2xC2xC2"]
+
+
+# ---------------------------------------------------------------------------
+# golden bytes
+
+def gauge_twist(G, s, t):
+    """Delta(x) (x^-1 (x) x^-1) for x = 4e + s + 2t with counit 1."""
+    Q = CyclotomicField()
+    x = TensorElement(G, 1, Q, {(G.identity,): Q.from_int(4),
+                                (s,): Q.from_int(1), (t,): Q.from_int(2)})
+    x = x.scale(hopf_counit(x).inverse())
+    x_inv = algebra_invert(x)
+    return hopf_coproduct(x) * x_inv.outer(x_inv)
+
+
+GOLDEN_COMMANDS = [
+    ("find-1cocycles", "--G", "3", "--A", "3", "--out", "cocycles.txt"),
+    ("build-twist", "--from-1cocycle", "cocycles.txt", "--index", "1",
+     "--out", "twist.txt"),
+    ("r-matrix", "--twist", "twist.txt", "--out", "r.txt"),
+    ("drinfeld", "--twist", "twist.txt", "--out", "u.txt"),
+    ("movshev", "--twist", "twist.txt", "--out", "dual.txt"),
+    ("trivialize", "--twist", "c3xc3-gauge.txt", "--out", "trivializer.txt"),
+    ("r-matrix", "--twist", "s3-gauge.txt", "--out", "s3-r.txt"),
+    ("r-matrix", "--twist", "d4-gauge.txt", "--out", "d4-r.txt"),
+    ("classify", "--order", "8", "--out", "classify.txt"),
+]
+
+# sha256 of every document and report of GOLDEN_COMMANDS, recorded before
+# the character transforms were shared (algebra.AbelianCharacters).  The
+# gauge twists are inputs, and inverting their gauge elements takes the
+# Fourier (C3xC3), Krylov (S3) and central-split (D4) routes.  A change
+# that alters these bytes on purpose updates this table and says why.
+GOLDEN = {
+    "c3xc3-gauge.txt":
+        "c04acce9f5d9a88663f60d200fd1d43b43787031af003bafc2f0ea47573854b4",
+    "classify.txt":
+        "15274d2134216672ed3a9cfb2facffa6d3fb72e420b593abfccc308cc93b862e",
+    "classify.txt report":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "cocycles.txt":
+        "cdb7015684c0a15b78cca2ddccef3bcf76588d143bcac48ea6bf72c286a0722d",
+    "cocycles.txt report":
+        "b88d8fe495a381015a00ace1aa1bf2023d69296365a1ee748d87e1797eff105b",
+    "d4-gauge.txt":
+        "29055dd74641265f9a289d392797ab4edf5d205b39286d42a0a15688cb768e62",
+    "d4-r.txt":
+        "f6150182c3da61ab6e03a3e165af9af7de8b3de806fbcb8971088173187009d6",
+    "d4-r.txt report":
+        "da4c5076f178ef6650cf10fe1ce9686204f08fc8045e9c12b93d7248448ce6e3",
+    "dual.txt":
+        "bc16ca129effef64162354f12c872d0e0cf7cd38d6c02bdfd69f49d1de0a6119",
+    "dual.txt report":
+        "fc3890dd687c45065e06b26a09da7b66b2c606ed1fae34664b04ad4d71a570bf",
+    "r.txt":
+        "8111dcaf3f107f5cca55f1eb8a2265da21614e263cf415f259039db3d131e8f9",
+    "r.txt report":
+        "1b50f92199c39d9e1b842c5f0ddf7fea315b5e30490edf7ab46b508bd7bd32af",
+    "s3-gauge.txt":
+        "d1df0f88bbe923a8d5068a43e0b380e8a5a3268cf70c8ec562f2f38b9d6b6082",
+    "s3-r.txt":
+        "5d932026a4a744f34fec42500941e5c086083ac9b117dcd4648602ddf8af128f",
+    "s3-r.txt report":
+        "d1a2cc7290a260821f5df764ba0929c8c13897b55c1427d0e97b3aaec4848b8d",
+    "trivializer.txt":
+        "b529249b5d6fd58597d1419fb84884cbc0650339c56195f4ec2ae3b44bf0365e",
+    "trivializer.txt report":
+        "7c0d6a6261f6521f808d10670c01031261dd68c177842288b5167d167ca7c2de",
+    "twist.txt":
+        "2874910f246e2bb1a8ceeb5f653ff80420e0a8e0084df64c8c2795e88ad69223",
+    "twist.txt report":
+        "5ba8089b06a6c9e60e9ae496d1842fbc87a215cae4745deb56fb58d35940a2bc",
+    "u.txt":
+        "3863a464b8e47c4e6e08627e1703e2cd50149c59d62b74a686c65c252cb0255e",
+    "u.txt report":
+        "2ed950d972f313469846a05a2fca25295885268dd490dbb98e1e9f4a9aa6b4f3",
+}
+
+
+def test_golden_bytes(tmp_path, capsys):
+    for name, J in (
+            ("c3xc3-gauge.txt", gauge_twist(abelian_group((3, 3)), 1, 3)),
+            ("s3-gauge.txt", gauge_twist(symmetric(3), 1, 3)),
+            ("d4-gauge.txt", gauge_twist(dihedral(4), 1, 4))):
+        (tmp_path / name).write_text(formats.format_tensor(J))
+    got = {}
+    for argv in GOLDEN_COMMANDS:
+        code, out, err = run_cli(capsys, *(
+            str(tmp_path / a) if a.endswith(".txt") else a for a in argv))
+        assert code == 0, err
+        got[f"{argv[-1]} report"] = hashlib.sha256(out.encode()).hexdigest()
+    for path in tmp_path.iterdir():
+        got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == GOLDEN

@@ -9,6 +9,7 @@ from twistlab.groups import (
     quaternion8, semidirect_product, symmetric, trivial_action,
 )
 from twistlab.scalars import Cyc, CyclotomicField
+from twistlab.algebra import AbelianCharacters
 
 
 def test_table_validation_catches_bad_tables():
@@ -175,9 +176,15 @@ def test_pairing_character():
     assert pc.N == 2
     assert pc.is_nondegenerate()
     f = CyclotomicField()
-    e11 = pc.value(f, a.index_of((1, 0)), a.index_of((1, 0)))
+    chars = AbelianCharacters.of_group(a, f)
+    E = chars.exponents()
+    assert chars.N == pc.N
+    assert all(E[x][b] == pc.exponent(x, b)
+               for x in range(4) for b in range(4))
+    e11 = chars.powers[E[a.index_of((1, 0))][a.index_of((1, 0))]]
     assert e11 == Cyc.from_int(-1)
-    assert pc.value(f, a.index_of((1, 0)), a.index_of((0, 1))) == Cyc.from_int(1)
+    assert chars.powers[E[a.index_of((1, 0))][a.index_of((0, 1))]] == \
+        Cyc.from_int(1)
     # biadditivity in the first slot on the full table
     for x in range(4):
         for y in range(4):
@@ -187,7 +194,8 @@ def test_pairing_character():
                 assert lhs == rhs
     c4 = make_cyclic(4)
     pc4 = PairingChar(c4)
-    assert pc4.value(f, 1, 1) == Cyc.root_of_unity(4)
+    chars4 = AbelianCharacters.of_group(c4, f)
+    assert chars4.powers[chars4.exponents()[1][1]] == Cyc.root_of_unity(4)
     assert pc4.is_nondegenerate()
 
 

@@ -7,13 +7,13 @@ import pytest
 from twistlab.scalars import Cyc, CyclotomicField, PrimeField
 from twistlab.groups import make_cyclic, abelian_group, symmetric
 from twistlab.algebra import (
-    TensorElement, AlgebraError, algebra_invert, hopf_coproduct,
+    AbelianCharacters, TensorElement, AlgebraError, algebra_invert,
+    hopf_coproduct,
 )
 from twistlab.twists import verify_twist, identity_twist, gauge_transform
 from twistlab.movshev import (
     MovshevError, build_BJ, dual_movshev, certify_simple,
     regular_character_report, certify_regular_action, count_grouplikes,
-    CharacterTable, fourier_transform, inverse_fourier,
     rational_sqrt_cyclotomic, kth_root_scalar, trivialize_symmetric_twist,
     match_projective_rep, derive_equivariant_iso, equivariant_iso_report,
     gauge_movshev_images, movshev_iso_report,
@@ -151,24 +151,32 @@ def test_character_table_and_fourier_roundtrip():
     rng = random.Random(11)
     for factors in ((6,), (2, 4)):
         G = abelian_group(factors)
-        chars = CharacterTable(G, Q)
+        chars = AbelianCharacters.of_group(G, Q)
+        E, powers, N = chars.exponents(), chars.powers, chars.N
+
+        def value(s, g):
+            return powers[E[s][g]]
+
+        def conj_value(s, g):
+            return powers[-E[s][g] % N]
+
         n = G.order
         # multiplicativity in both slots
         for _ in range(10):
             s, t = rng.randrange(n), rng.randrange(n)
             g, h = rng.randrange(n), rng.randrange(n)
-            assert chars.value(s, G.add(g, h)) == \
-                chars.value(s, g) * chars.value(s, h)
-            assert chars.value(G.add(s, t), g) == \
-                chars.value(s, g) * chars.value(t, g)
-            assert chars.conj_value(s, g) * chars.value(s, g) == Q.one()
+            assert value(s, G.add(g, h)) == value(s, g) * value(s, h)
+            assert value(G.add(s, t), g) == value(s, g) * value(t, g)
+            assert conj_value(s, g) * value(s, g) == Q.one()
         x = rand_invertible(rng, G)
-        assert inverse_fourier(fourier_transform(x, chars), chars) == x
+        vals = [x.get((g,)) for g in range(n)]
+        inv_n = Q.from_fraction(Fraction(1, n))
+        assert [v * inv_n for v in chars.inverse(chars.forward(vals))] == vals
     G = make_cyclic(2)
-    chars = CharacterTable(G, Q)
-    assert chars.value(1, 1) == -Q.one()
-    with pytest.raises(MovshevError):
-        CharacterTable(symmetric(3), Q)
+    chars = AbelianCharacters.of_group(G, Q)
+    assert chars.powers[chars.exponents()[1][1]] == -Q.one()
+    with pytest.raises(AlgebraError):
+        AbelianCharacters.of_group(symmetric(3), Q)
 
 
 def test_rational_sqrt_cyclotomic():

@@ -122,6 +122,18 @@ def test_serialization_roundtrip():
     assert parse_scalar("Q(z_4) 2*z + -3") == Cyc(4, (-3, 2), 1)
 
 
+@pytest.mark.parametrize("text", [
+    "Q(z_1) (1/0)",          # zero denominator
+    "5 mod 0",               # zero modulus
+    "Q(z_4) 1*z^7",          # exponent past phi(4) - 1
+    "Q(z_4) 1*z^-1",         # negative exponent
+    "Q(z_4) 1*z + 2*z",      # repeated exponent
+])
+def test_parse_scalar_rejects_hostile_input(text):
+    with pytest.raises(ScalarError):
+        parse_scalar(text)
+
+
 def test_prime_field_designated_root():
     # order of every residue mod 5: 1->1, 2->4, 3->4, 4->2; smallest of order 4 is 2
     f = PrimeField(5, 4)
