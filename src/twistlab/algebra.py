@@ -18,13 +18,26 @@ the shared character layer: the zeta_N power table and the mixed-radix
 transform (_axis_dft along each axis) behind the first two routes, the
 character battery of catalog, and the character sums of movshev and
 constructions.
+
+mat_rank certifies a rank mod p before it eliminates over Q(zeta_N).  For a
+prime p = 1 mod N and a primitive N-th root w mod p, zeta_N -> w is a ring
+map Z[1/D][zeta_N] -> F_p for every D prime to p.  Minors map to minors, so
+the rank mod p of the rows whose denominators p does not divide is at most
+the true rank.  When that lower bound meets a proven upper bound (the matrix
+size, or d - 1 for the commutator rows of an algebra with an exactly checked
+nonzero central unit) it is the rank; otherwise the rank comes from exact
+elimination.  Only "full rank" and "center dimension 1" are ever read off
+mod p, and both are then exact (von zur Gathen & Gerhard, Modern Computer
+Algebra, ch. 5).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from math import gcd, lcm
 
-from .scalars import ScalarError
+from .scalars import (MAX_CONDUCTOR, Cyc, ScalarError, cyc_residue,
+                      factorize, is_prime, root_powers)
 
 
 class AlgebraError(ValueError):
@@ -60,11 +73,78 @@ def mat_rref(rows, ncols):
     return pivots
 
 
-def mat_rank(rows, ncols):
+def mat_rank(rows, ncols, upper=None):
+    """Rank of the matrix.
+
+    upper is a proven upper bound on the rank (default min(rows, ncols)).
+    When a rank mod p reaches it, that is the rank; otherwise the rank is
+    found by exact elimination.
+    """
     if not rows:
         return 0
+    target = min(len(rows), ncols)
+    if upper is not None:
+        target = min(target, upper)
+    if _modular_rank(rows, target) == target:
+        return target
     work = [list(r) for r in rows]
     return len(mat_rref(work, ncols))
+
+
+@functools.cache
+def _modular_prime(n):
+    """The largest prime p < 2^31 with p = 1 mod n, and a primitive n-th
+    root of unity mod p."""
+    p = (2 ** 31 - 2) // n * n + 1
+    while not is_prime(p):
+        p -= n
+    parts = list(factorize(n))
+    for g in itertools.count(2):
+        w = pow(g, (p - 1) // n, p)
+        if all(pow(w, n // q, p) != 1 for q in parts):
+            return p, w
+
+
+def _modular_rank(rows, target):
+    """A lower bound on the rank of a matrix of Cyc entries, or None for
+    any other entries or an lcm of conductors above MAX_CONDUCTOR.
+
+    The rank of the image under Z[1/D][zeta_N] -> F_p is at most the true
+    rank, and so is the rank of any subset of rows: a row whose
+    denominator vanishes mod p is dropped.  Rows are inserted one at a
+    time into an echelon basis mod p until the rank reaches target.
+    """
+    conductors = set()
+    for row in rows:
+        for x in row:
+            if type(x) is not Cyc:
+                return None
+            conductors.add(x.n)
+    n = lcm(*conductors)
+    if n > MAX_CONDUCTOR:
+        return None
+    p, w = _modular_prime(n)
+    powers = {c: root_powers(pow(w, n // c, p), c, p) for c in conductors}
+    basis = []
+    for row in rows:
+        vec = []
+        for x in row:
+            v = cyc_residue(x, p, powers[x.n]) if x else 0
+            if v is None:
+                break
+            vec.append(v)
+        else:
+            for c, b in basis:
+                f = vec[c]
+                if f:
+                    vec = [(a - f * e) % p for a, e in zip(vec, b)]
+            c = next((c for c, a in enumerate(vec) if a), None)
+            if c is not None:
+                inv = pow(vec[c], -1, p)
+                basis.append((c, [a * inv % p for a in vec]))
+                if len(basis) == target:
+                    break
+    return len(basis)
 
 
 def mat_nullspace(rows, ncols, field):
@@ -942,8 +1022,17 @@ class StructureConstantAlgebra:
                    for i in range(self.dim) for j in range(i))
 
     def center_dimension(self):
-        """Dimension of {z : zx = xz for all basis x} by exact nullspace."""
+        """Dimension of {z : zx = xz for all basis x}, the nullspace of the
+        commutator rows.
+
+        A nonzero central unit, checked exactly, bounds their rank by
+        d - 1, which mat_rank may then certify mod p.
+        """
         d = self.dim
+        one = self.field.one()
+        central = bool(self.unit) and all(
+            self.mult_vec(self.unit, {i: one}) ==
+            self.mult_vec({i: one}, self.unit) for i in range(d))
         zero = self.field.zero()
         rows = []
         for j in range(d):
@@ -958,7 +1047,7 @@ class StructureConstantAlgebra:
             for row in cols.values():
                 if any(row):
                     rows.append(row)
-        return d - mat_rank(rows, d)
+        return d - mat_rank(rows, d, d - 1 if central else None)
 
     def abelianization_dimension(self):
         """Dimension of A / ([A,A]), the two-sided ideal closure of commutators."""

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .scalars import factorize
-
 
 class GroupError(ValueError):
     pass

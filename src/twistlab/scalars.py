@@ -174,10 +174,19 @@ class _CycContext:
 
 _ctx_cache = {}
 
+# Largest conductor a scalar may have.  A context holds about n * phi(n)
+# integers (0.27 s and 76 MB at n = 2003), so a document naming a huge
+# conductor is refused here instead of exhausting memory.  Every field the
+# finder and the catalog build has a conductor far below this.
+MAX_CONDUCTOR = 1024
+
 
 def _ctx(n):
     ctx = _ctx_cache.get(n)
     if ctx is None:
+        if not 1 <= n <= MAX_CONDUCTOR:
+            raise ScalarError(
+                f"conductor {n} is outside 1..{MAX_CONDUCTOR}")
         ctx = _CycContext(n)
         _ctx_cache[n] = ctx
     return ctx
@@ -584,6 +593,38 @@ class Fp:
 
 
 # ---------------------------------------------------------------------------
+# reduction of cyclotomic scalars mod p
+
+def root_powers(z, n, p):
+    """z^0, ..., z^(phi(n)-1) mod p: the images of the power basis of
+    Q(zeta_n) under zeta_n -> z."""
+    out = [1]
+    for _ in range(1, _ctx(n).phi):
+        out.append(out[-1] * z % p)
+    return tuple(out)
+
+
+def cyc_residue(c, p, powers):
+    """The image of c in F_p as an int, where powers = root_powers(z, c.n, p)
+    for a primitive c.n-th root of unity z mod p; None if p divides the
+    denominator.
+
+    z is a root of Phi_n mod p, so zeta_n -> z is a ring map
+    Z[1/den][zeta_n] -> F_p: images of sums and products are the sums and
+    products of the images."""
+    den = c.den
+    if den % p == 0:
+        return None
+    acc = 0
+    for coeff, w in zip(c.num, powers):
+        if coeff:
+            acc += coeff * w
+    if den != 1:
+        acc *= pow(den, -1, p)
+    return acc % p
+
+
+# ---------------------------------------------------------------------------
 # field handles
 
 @dataclass(frozen=True)
@@ -696,14 +737,10 @@ class PrimeField:
             raise ScalarError(
                 f"conductor {c.n} does not divide root order {self.root_order}")
         z = pow(self.root, self.root_order // c.n, self.p)
-        acc = 0
-        zz = 1
-        for coeff in c.num:
-            acc = (acc + coeff * zz) % self.p
-            zz = (zz * z) % self.p
-        if c.den % self.p == 0:
+        v = cyc_residue(c, self.p, root_powers(z, c.n, self.p))
+        if v is None:
             raise ScalarError(f"denominator {c.den} vanishes mod {self.p}")
-        return Fp(self.p, acc * pow(c.den, -1, self.p))
+        return Fp(self.p, v)
 
     def parse(self, text):
         return parse_scalar(text)

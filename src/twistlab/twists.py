@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .algebra import (
     AlgebraError, TensorElement, algebra_invert, hopf_coproduct, hopf_counit,
-    hopf_antipode, mat_rank,
+    mat_rank,
 )
 
 

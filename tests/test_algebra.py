@@ -3,9 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from twistlab.scalars import Cyc, CyclotomicField, PrimeField, ScalarError
+from twistlab import algebra
+from twistlab.scalars import (Cyc, CyclotomicField, PrimeField, ScalarError,
+                              is_prime)
 from twistlab.groups import make_cyclic, abelian_group, symmetric, dihedral
+from twistlab.twists import identity_twist
+from twistlab.movshev import dual_movshev
 from twistlab.algebra import (
     AbelianCharacters, AlgebraError, TensorElement, abelian_basis, hopf_coproduct, hopf_counit, hopf_antipode,
     regular_trace, support_subgroup, algebra_invert, left_regular_matrix,
@@ -226,6 +231,100 @@ def test_matrix_routines():
     # inconsistent system
     sing = [[one, one], [one, one]]
     assert mat_solve(sing, [one, zero], 2, Q) is None
+
+
+def test_modular_prime_carries_the_roots():
+    for n in (1, 3, 4, 8, 12, 64):
+        p, w = algebra._modular_prime(n)
+        assert is_prime(p) and p < 2 ** 31 and (p - 1) % n == 0
+        assert pow(w, n, p) == 1
+        assert all(pow(w, k, p) != 1 for k in range(1, n))
+
+
+def test_modular_rank_deficit_falls_back_to_exact():
+    """A rank mod p below the bound decides nothing: the exact rank is
+    taken, and a row whose denominator p vanishes is dropped, not mapped."""
+    p, _ = algebra._modular_prime(1)
+    one, zero = Q.one(), Q.zero()
+    det_p = [[Q.from_int(p), zero], [zero, one]]
+    assert algebra._modular_rank(det_p, 2) == 1
+    assert mat_rank(det_p, 2) == 2
+    inv_p = Q.from_fraction(Fraction(1, p))
+    assert algebra._modular_rank([[inv_p, one]], 1) == 0
+    assert mat_rank([[inv_p, one]], 2) == 1
+    dependent = [[inv_p, inv_p], [one, one]]
+    assert algebra._modular_rank(dependent, 2) == 1
+    assert mat_rank(dependent, 2) == 1
+    # no bound at all for conductors whose lcm passes the cap (exact
+    # arithmetic refuses them too) or for entries other than Cyc
+    mixed = [[Cyc.root_of_unity(1024), Cyc.root_of_unity(3)]]
+    assert algebra._modular_rank(mixed, 1) is None
+    with pytest.raises(ScalarError):
+        mat_rank(mixed, 2)
+    F = PrimeField(13, 12)
+    assert algebra._modular_rank([[F.one()]], 1) is None
+    assert mat_rank([[F.one(), F.zero()], [F.zero(), F.zero()]], 2) == 1
+
+
+@st.composite
+def cyc_matrices(draw):
+    """Small matrices over Q(zeta_n), n in 1, 3, 4, 8, 12; about half are
+    products of two thin random factors, so rank-deficient."""
+    n = draw(st.sampled_from((1, 3, 4, 8, 12)))
+    term = st.builds(lambda c, k, a, b: Cyc.root_of_unity(c, k) * Fraction(a, b),
+                     st.sampled_from(sorted({1, n})), st.integers(0, n - 1),
+                     st.integers(-2, 2), st.integers(1, 3))
+    entry = st.lists(term, max_size=2).map(
+        lambda ts: sum(ts, Q.zero()))
+
+    def matrix(r, c):
+        return [[draw(entry) for _ in range(c)] for _ in range(r)]
+
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return matrix(rows, cols), cols
+    k = draw(st.integers(1, max(1, min(rows, cols) - 1)))
+    return mat_mul(matrix(rows, k), matrix(k, cols), Q), cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyc_matrices())
+def test_mat_rank_matches_exact_elimination(case):
+    rows, ncols = case
+    exact = len(mat_rref([list(r) for r in rows], ncols))
+    assert mat_rank(rows, ncols) == exact
+    # a proven upper bound that the rank attains is certified as well
+    assert mat_rank(rows, ncols, exact) == exact
+
+
+def test_center_dimension_certified_only_with_central_unit(monkeypatch):
+    """The modular bound decides center dimension 1 only after an exact
+    check that the stated unit is nonzero and central; every other case
+    reaches exact elimination."""
+    calls = []
+    exact = algebra.mat_rref
+    monkeypatch.setattr(algebra, "mat_rref",
+                        lambda rows, ncols: calls.append(ncols) or
+                        exact(rows, ncols))
+    # M_2 as the dual of the comatrix coalgebra of size 2
+    idx = {(i, j): 2 * i + j for i in range(2) for j in range(2)}
+    rows = [{(idx[(i, l)], idx[(l, j)]): Q.one() for l in range(2)}
+            for i in range(2) for j in range(2)]
+    counit = [Q.one() if i == j else Q.zero()
+              for i in range(2) for j in range(2)]
+    M2 = dualize_coalgebra(rows, counit, Q)
+    assert M2.center_dimension() == 1 and calls == []
+    for unit in ({idx[(0, 0)]: Q.one()}, {}):   # not central; zero
+        A = StructureConstantAlgebra(M2.m, unit, Q, validate=False)
+        calls.clear()
+        assert A.center_dimension() == 1 and calls == [4]
+    # center larger than the unit's span: k[S3] falls back; the untwisted
+    # k[C4]^* is commutative, so it has no commutator rows to eliminate
+    calls.clear()
+    assert group_algebra_structure(symmetric(3), Q).center_dimension() == 3
+    assert calls == [6]
+    assert dual_movshev(identity_twist(make_cyclic(4), Q)) \
+        .algebra.center_dimension() == 4
 
 
 def group_algebra_structure(G, field):

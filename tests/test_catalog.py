@@ -3,6 +3,7 @@ from math import lcm
 
 import pytest
 
+from twistlab import algebra
 from twistlab.scalars import Cyc, CyclotomicField
 from twistlab.groups import abelian_group, make_cyclic, symmetric
 from twistlab.twists import check_triangular, leg_span_rank, r_matrix
@@ -16,8 +17,7 @@ from twistlab.catalog import (AbelianTwistTable, CatalogError, Quadruple,
                               builtin_groups, char_p_mirror,
                               cocycle_relabeling, darboux_pairs,
                               dual_automorphism_perm, enumerate_quadruples,
-                              finder_scan, is_minimal_datum,
-                              realize_quadruple, relabel_tensor,
+                              finder_scan, is_minimal_datum, relabel_tensor,
                               rep_from_bicharacter, transport_isomorphism,
                               transport_twist_perm)
 
@@ -186,6 +186,31 @@ def test_battery_matches_generic_engines():
         M = dual_movshev(tw)
         assert M.algebra.center_dimension() == table.center_count()
         assert count_grouplikes(tw) == table.grouplike_count()
+
+
+def test_modular_certificates_match_exact_path(monkeypatch):
+    """center_dimension and leg_span_rank equal their exact-elimination
+    values on every finder twist with |H| <= 16."""
+    twists = [twist_from_1cocycle(data)
+              for entry in finder_scan(max_order=4) for data in entry.cocycles]
+
+    def certificates():
+        return [(dual_movshev(tw).algebra.center_dimension(),
+                 leg_span_rank(tw.group, r_matrix(tw))) for tw in twists]
+
+    decided = []
+    modular = algebra._modular_rank
+
+    def spy(rows, target):
+        bound = modular(rows, target)
+        decided.append(bound == target)
+        return bound
+
+    monkeypatch.setattr(algebra, "_modular_rank", spy)
+    fast = certificates()
+    assert len(twists) == 13 and decided.count(True) == 3 * len(twists)
+    monkeypatch.setattr(algebra, "_modular_rank", lambda rows, target: None)
+    assert certificates() == fast
 
 
 def test_table_transform_matches_dense_sum():

@@ -353,7 +353,7 @@ def test_exit_codes_and_diagnostics(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", [
     "Q(z_1) (1/0)", "Q(z_4) 1*z^7", "5 mod 0", "Q(z_4) 1*z^-1",
-    "Q(z_4) 1*z + 2*z",
+    "Q(z_4) 1*z + 2*z", "Q(z_2003) 1",
 ])
 def test_hostile_scalar_is_a_parse_error(tmp_path, capsys, value):
     lines = formats.format_tensor(

@@ -1,9 +1,8 @@
-import random
 from fractions import Fraction
 
 import pytest
 
-from twistlab.scalars import Cyc, CyclotomicField
+from twistlab.scalars import CyclotomicField
 from twistlab.groups import (
     make_cyclic, abelian_group, trivial_action, action_from_generator_images,
 )

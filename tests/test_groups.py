@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from twistlab.groups import (
-    AbelianGroup, FiniteGroup, GroupAction, GroupError, PairingChar,
+    AbelianGroup, FiniteGroup, GroupError, PairingChar,
     action_from_generator_images, alternating4, dihedral, direct_product,
     dual_action, find_isomorphism, is_isomorphic, isomorphisms, make_cyclic,
     quaternion8, semidirect_product, symmetric, trivial_action,

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from twistlab.scalars import (
-    Cyc, CyclotomicField, FieldSpec, Fp, PrimeField, ScalarError,
+    Cyc, FieldSpec, Fp, PrimeField, ScalarError,
     cyclotomic_poly, euler_phi, exact_root, iroot, make_field, mobius,
     parse_field_spec, parse_scalar, write_scalar,
 )
@@ -120,6 +120,8 @@ def test_serialization_roundtrip():
     assert write_scalar(s) == "Q(z_8) (-1/2)*z^2 + (1/2)"
     assert write_scalar(Cyc.from_int(0)) == "Q(z_1) 0"
     assert parse_scalar("Q(z_4) 2*z + -3") == Cyc(4, (-3, 2), 1)
+    top = parse_scalar("Q(z_1024) 1*z^511")        # the largest conductor
+    assert top * top == Cyc.root_of_unity(1024, 1022)
 
 
 @pytest.mark.parametrize("text", [
@@ -128,6 +130,8 @@ def test_serialization_roundtrip():
     "Q(z_4) 1*z^7",          # exponent past phi(4) - 1
     "Q(z_4) 1*z^-1",         # negative exponent
     "Q(z_4) 1*z + 2*z",      # repeated exponent
+    "Q(z_1025) 1",           # conductor above MAX_CONDUCTOR = 1024
+    "Q(z_2003) 1",
 ])
 def test_parse_scalar_rejects_hostile_input(text):
     with pytest.raises(ScalarError):
