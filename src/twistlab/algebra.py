@@ -13,7 +13,8 @@ G^rank generated by the support, by the first route that applies:
 - Krylov: otherwise; the minimal polynomial of left multiplication by t is
   found by exact elimination.
 
-Every result is re-verified as a two-sided inverse.  AbelianCharacters is
+Every result is verified as a right inverse, t * inv = 1, which makes it
+two-sided (see algebra_invert).  AbelianCharacters is
 the shared character layer: the zeta_N power table and the mixed-radix
 transform (_axis_dft along each axis) behind the first two routes, the
 character battery of catalog, and the character sums of movshev and
@@ -841,20 +842,29 @@ def algebra_invert(t, max_steps=None):
     instead.  Otherwise the minimal polynomial of left multiplication by t
     on k[S] is found by exact Krylov iteration; a nonzero constant term
     yields the inverse, a zero constant term certifies a zero divisor.
-    The result is always verified.
+
+    The result is always verified, on one side: k[G]^(rank) is a
+    finite-dimensional associative algebra, so t * inv = 1 makes left
+    multiplication by t onto, hence one-to-one, and then
+    t * (inv * t - 1) = t - t = 0 gives inv * t = 1.
     """
     if not t.coeffs:
         raise AlgebraError("zero element is not invertible")
     members = support_subgroup(t)
-    n = len(members)
     inv = _fourier_invert(t, members)
     if inv is None:
         inv = _central_split_invert(t, members)
-    if inv is not None:
-        unit = TensorElement.unit(t.group, t.rank, t.field)
-        if t * inv != unit or inv * t != unit:
-            raise AlgebraError("inverse verification failed")
-        return inv
+    if inv is None:
+        inv = _krylov_invert(t, members, max_steps)
+    if t * inv != TensorElement.unit(t.group, t.rank, t.field):
+        raise AlgebraError("inverse verification failed")
+    return inv
+
+
+def _krylov_invert(t, members, max_steps):
+    """Invert t through the minimal polynomial of left multiplication by t
+    on k[S], found by exact Krylov iteration; raises on a zero divisor."""
+    n = len(members)
     index = {m: i for i, m in enumerate(members)}
     field = t.field
     zero = field.zero()
@@ -882,18 +892,14 @@ def algebra_invert(t, max_steps=None):
     powers = [v]                       # powers[k] = t^k as dense vector
     # echelon rows with their expression in terms of the Krylov vectors
     ech = []                           # list of (pivot, row, combo)
-    combo0 = [field.one()]
-    row = list(v)
-    _ech_insert(ech, row, combo0, field)
+    _ech_insert(ech, list(v), [field.one()])
     for step in range(1, cap + 1):
         v = apply_fast(powers[-1])
         powers.append(v)
-        combo = [zero] * step + [field.one()]
+        c = [zero] * step + [field.one()]
         row = list(v)
-        rem_combo = _ech_reduce(ech, row, combo, field)
-        if rem_combo is not None:
-            # dependence: sum_i c_i t^i = 0 with c = rem_combo
-            c = rem_combo
+        if _ech_reduce(ech, row, c):
+            # dependence: sum_i c_i t^i = 0
             if not c[0]:
                 raise AlgebraError("element is a zero divisor (not invertible)")
             inv_c0 = (-c[0]).inverse()
@@ -906,44 +912,35 @@ def algebra_invert(t, max_steps=None):
                         if pw[j]:
                             acc[j] = acc[j] + f * pw[j]
             coeffs = {members[j]: acc[j] for j in range(n) if acc[j]}
-            inv = TensorElement(t.group, t.rank, field, coeffs, prune=False)
-            unit = TensorElement.unit(t.group, t.rank, field)
-            if t * inv != unit or inv * t != unit:
-                raise AlgebraError("inverse verification failed")
-            return inv
-        _ech_insert(ech, row, combo, field)
+            return TensorElement(t.group, t.rank, field, coeffs, prune=False)
+        _ech_insert(ech, row, c)
     raise AlgebraError(f"no inverse found within {cap} Krylov steps")
 
 
-def _ech_reduce(ech, row, combo, field):
-    """Reduce row against the echelon; return the combo if it hits zero."""
+def _ech_reduce(ech, row, combo=None):
+    """Reduce row in place against the echelon ech of (pivot, row, combo)
+    triples, and combo alongside when given (it must be at least as long
+    as every echelon combo); True when the row reduces to zero."""
     for pivot, erow, ecombo in ech:
         x = row[pivot]
         if x:
             for j in range(len(row)):
                 if erow[j]:
                     row[j] = row[j] - x * erow[j]
-            for j in range(len(ecombo)):
-                if ecombo[j]:
-                    if j < len(combo):
+            if combo is not None:
+                for j in range(len(ecombo)):
+                    if ecombo[j]:
                         combo[j] = combo[j] - x * ecombo[j]
-                    else:
-                        combo.extend([field.zero()] * (j + 1 - len(combo)))
-                        combo[j] = -(x * ecombo[j])
-    if any(row):
-        return None
-    return combo
+    return not any(row)
 
 
-def _ech_insert(ech, row, combo, field):
-    rem = _ech_reduce(ech, row, combo, field)
-    if rem is not None:
-        raise AlgebraError("attempted to insert a dependent Krylov vector")
+def _ech_insert(ech, row, combo=None):
+    """Append a row already reduced by _ech_reduce to a nonzero row,
+    normalized at its first nonzero entry, with its combo."""
     pivot = next(i for i, x in enumerate(row) if x)
     inv = row[pivot].inverse()
-    row = [x * inv for x in row]
-    combo = [c * inv for c in combo]
-    ech.append((pivot, row, combo))
+    ech.append((pivot, [x * inv for x in row],
+                None if combo is None else [c * inv for c in combo]))
 
 
 def left_regular_matrix(t, members=None):
@@ -1050,25 +1047,15 @@ class StructureConstantAlgebra:
         return d - mat_rank(rows, d, d - 1 if central else None)
 
     def abelianization_dimension(self):
-        """Dimension of A / ([A,A]), the two-sided ideal closure of commutators."""
-        d = self.dim
-        zero = self.field.zero()
-        ech = []
+        """Dimension of A / ([A,A]), the two-sided ideal closure of commutators.
 
-        def insert(vec):
-            row = list(vec)
-            for pivot, erow in ech:
-                x = row[pivot]
-                if x:
-                    for j in range(d):
-                        if erow[j]:
-                            row[j] = row[j] - x * erow[j]
-            if not any(row):
-                return False
-            pivot = next(i for i, x in enumerate(row) if x)
-            inv = row[pivot].inverse()
-            ech.append((pivot, [x * inv for x in row]))
-            return True
+        The ideal grows as an echelon basis: first the commutators of basis
+        elements, then the products of each echelon row, in the order the
+        rows were found, with every basis element on both sides.
+        """
+        d = self.dim
+        zero, one = self.field.zero(), self.field.one()
+        ech = []
 
         def to_dense(vecdict):
             out = [zero] * d
@@ -1076,29 +1063,33 @@ class StructureConstantAlgebra:
                 out[k] = v
             return out
 
-        for i in range(d):
-            for j in range(i):
-                comm = dict(self.m[i][j])
-                for k, v in self.m[j][i].items():
-                    w = comm.get(k)
-                    s = -v if w is None else w - v
-                    if s:
-                        comm[k] = s
-                    elif w is not None:
-                        del comm[k]
-                if comm:
-                    insert(to_dense(comm))
-        # close under multiplication by basis elements on both sides
-        changed = True
-        while changed:
-            changed = False
-            for pivot, erow in list(ech):
-                vd = {i: x for i, x in enumerate(erow) if x}
+        def spanning_rows():
+            for i in range(d):
+                for j in range(i):
+                    comm = dict(self.m[i][j])
+                    for k, v in self.m[j][i].items():
+                        w = comm.get(k)
+                        s = -v if w is None else w - v
+                        if s:
+                            comm[k] = s
+                        elif w is not None:
+                            del comm[k]
+                    if comm:
+                        yield to_dense(comm)
+            # ech grows while this runs; each row is multiplied once
+            k = 0
+            while k < len(ech):
+                vd = {i: x for i, x in enumerate(ech[k][1]) if x}
+                k += 1
                 for i in range(d):
-                    b = {i: self.field.one()}
+                    b = {i: one}
                     for prod in (self.mult_vec(b, vd), self.mult_vec(vd, b)):
-                        if prod and insert(to_dense(prod)):
-                            changed = True
+                        if prod:
+                            yield to_dense(prod)
+
+        for row in spanning_rows():
+            if not _ech_reduce(ech, row):
+                _ech_insert(ech, row)
         return d - len(ech)
 
 

@@ -301,12 +301,14 @@ class Quadruple:
             raise CatalogError("the representation cocycle is degenerate")
 
     def beta(self, x, y):
-        """Commutation bicharacter c(x, y) / c(y, x) at subgroup indices."""
+        """Commutation bicharacter c(x, y) / c(y, x) at indices of G; None
+        unless both lie in H."""
         if self._beta is None:
-            nh = self.H.order
-            self._beta = [[self.V.cocycle_value(a, b) *
-                           self.V.cocycle_value(b, a).inverse()
-                           for b in range(nh)] for a in range(nh)]
+            n, cv = self.G.order, self.V.cocycle_value
+            self._beta = [[None] * n for _ in range(n)]
+            for a, x1 in enumerate(self.members):
+                for b, y1 in enumerate(self.members):
+                    self._beta[x1][y1] = cv(a, b) * cv(b, a).inverse()
         return self._beta[x][y]
 
     def profile(self):
@@ -681,129 +683,15 @@ def rep_from_bicharacter(sub, coords, E, field):
 
 def transport_isomorphism(q1, q2):
     """An isomorphism G1 -> G2 carrying H1 to H2, u1 to u2, and the
-    commutation bicharacter of V1 to that of V2; None when there is none.
-
-    Backtracking over images of a generating sequence that exhausts H1
-    first, with candidate images confined to order-matched elements of H2
-    (or of its complement), then u1 with forced image u2, then the rest.
-    Returns the full image permutation.
+    commutation bicharacter of V1 to that of V2, as its image list; None
+    when there is none.
     """
-    G1, G2 = q1.G, q2.G
-    n = G1.order
-    if n != G2.order or len(q1.members) != len(q2.members):
+    if q1.G.order != q2.G.order or len(q1.members) != len(q2.members):
         return None
-    if G1.element_order(q1.u) != G2.element_order(q2.u):
-        return None
-    mem1, mem2 = set(q1.members), set(q2.members)
-    if (q1.u in mem1) != (q2.u in mem2):
-        return None
-
-    gens = []
-    span = {G1.identity}
-    # u first (its image is forced, the strongest prune), then H, then all
-    for pool in ([q1.u] if q1.u != G1.identity else [],
-                 sorted(mem1, key=lambda a: (-G1.element_order(a), a)),
-                 sorted(range(n), key=lambda a: (-G1.element_order(a), a))):
-        for a in pool:
-            if a not in span:
-                gens.append(a)
-                span = set(G1.subgroup_generated(gens))
-                if len(span) == n:
-                    break
-        if len(span) == n:
-            break
-
-    by_order = {}
-    for h in range(n):
-        by_order.setdefault(G2.element_order(h), []).append(h)
-    cands = []
-    for g in gens:
-        pool = by_order.get(G1.element_order(g), [])
-        if g == q1.u:
-            pool = [h for h in pool if h == q2.u]
-        elif g in mem1:
-            pool = [h for h in pool if h in mem2]
-        else:
-            pool = [h for h in pool if h not in mem2]
-        cands.append(pool)
-
-    pos1 = {m: i for i, m in enumerate(q1.members)}
-    pos2 = {m: i for i, m in enumerate(q2.members)}
-    t1, t2 = G1.table, G2.table
-
-    def propagate(assign):
-        images = {G1.identity: G2.identity}
-        frontier = [G1.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                ix = images[x]
-                for g, hg in assign:
-                    y, hy = t1[x][g], t2[ix][hg]
-                    known = images.get(y)
-                    if known is not None:
-                        if known != hy:
-                            return None
-                    else:
-                        if (y in mem1) != (hy in mem2):
-                            return None
-                        images[y] = hy
-                        nxt.append(y)
-            frontier = nxt
-        return images
-
-    def full_check(images):
-        if len(images) != n or len(set(images.values())) != n:
-            return False
-        if images[q1.u] != q2.u:
-            return False
-        if {images[m] for m in q1.members} != mem2:
-            return False
-        for a in range(n):
-            row1, row2 = t1[a], t2[images[a]]
-            for b in range(n):
-                if images[row1[b]] != row2[images[b]]:
-                    return False
-        for x in q1.members:
-            bx, ix = pos1[x], pos2[images[x]]
-            for y in q1.members:
-                if q1.beta(bx, pos1[y]) != q2.beta(ix, pos2[images[y]]):
-                    return False
-        return True
-
-    member_gens = [(i, pos1[g]) for i, g in enumerate(gens) if g in mem1]
-
-    def beta_clash(k, assign, h):
-        # the commutation bicharacter must already match between the new
-        # member generator and every member generator assigned so far
-        bg = pos1[gens[k]]
-        bh = pos2[h]
-        for i, bprev in member_gens:
-            if i >= k:
-                break
-            if q1.beta(bg, bprev) != q2.beta(bh, pos2[assign[i][1]]):
-                return True
-        return False
-
-    def search(k, assign):
-        if k == len(gens):
-            images = propagate(assign)
-            if images is not None and full_check(images):
-                return [images[g] for g in range(n)]
-            return None
-        in_members = gens[k] in mem1
-        for h in cands[k]:
-            if in_members and beta_clash(k, assign, h):
-                continue
-            trial = assign + [(gens[k], h)]
-            if propagate(trial) is None:
-                continue
-            found = search(k + 1, trial)
-            if found is not None:
-                return found
-        return None
-
-    return search(0, [])
+    labels = [[(x in q.members, x == q.u) for x in range(q.G.order)]
+              for q in (q1, q2)]
+    return next(isomorphisms(q1.G, q2.G, labels=labels,
+                             pair_labels=(q1.beta, q2.beta)), None)
 
 
 def enumerate_quadruples(N, field=None, dedup=None, seed=0):

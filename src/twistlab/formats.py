@@ -8,7 +8,10 @@ never contain floating point.  Writers emit keys in a fixed order and
 entries in sorted index order: equal values produce identical bytes.
 """
 
-from .scalars import Cyc, Fp, ScalarError, make_field, parse_field_spec, parse_scalar
+from math import lcm
+
+from .scalars import (MAX_CONDUCTOR, Cyc, Fp, ScalarError, make_field,
+                      parse_field_spec, parse_scalar)
 from .groups import (AbelianGroup, FiniteGroup, GroupAction, GroupError,
                      abelian_group)
 from .algebra import TensorElement
@@ -105,20 +108,33 @@ def _parse_field_line(rest, lineno):
         raise FormatError(f"bad field spec {rest!r}: {exc}", lineno)
 
 
-def _bind_scalar(field, text, lineno):
-    try:
-        value = parse_scalar(text)
-    except (ScalarError, ValueError) as exc:
-        raise FormatError(f"bad scalar {text!r}: {exc}", lineno)
-    if field.kind == "cyclotomic":
-        if not isinstance(value, Cyc):
-            raise FormatError(
-                f"scalar {text!r} is not a cyclotomic value", lineno)
-    else:
-        if not isinstance(value, Fp) or value.p != field.p:
+def _scalar_binder(field):
+    """Parser for one document's scalars in `field`.  It refuses the entry
+    that takes the lcm of the conductors so far past MAX_CONDUCTOR, which
+    arithmetic between the entries would need."""
+    conductor = 1
+
+    def bind(text, lineno):
+        nonlocal conductor
+        try:
+            value = parse_scalar(text)
+        except (ScalarError, ValueError) as exc:
+            raise FormatError(f"bad scalar {text!r}: {exc}", lineno)
+        if field.kind == "cyclotomic":
+            if not isinstance(value, Cyc):
+                raise FormatError(
+                    f"scalar {text!r} is not a cyclotomic value", lineno)
+            conductor = lcm(conductor, value.n)
+            if conductor > MAX_CONDUCTOR:
+                raise FormatError(
+                    f"bad scalar {text!r}: the document needs conductor "
+                    f"{conductor}, outside 1..{MAX_CONDUCTOR}", lineno)
+        elif not isinstance(value, Fp) or value.p != field.p:
             raise FormatError(
                 f"scalar {text!r} does not live in F_{field.p}", lineno)
-    return value
+        return value
+
+    return bind
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +288,7 @@ def parse_tensor(text, group=None):
     else:
         raise FormatError("tensor document carries no group block and no "
                           "group was supplied")
+    bind = _scalar_binder(field)
     coeffs = {}
     for lineno, rest in entries:
         left, right = _colon_split(rest, lineno, "entry")
@@ -286,7 +303,7 @@ def parse_tensor(text, group=None):
                     lineno)
         if idx in coeffs:
             raise FormatError(f"duplicate entry at {idx}", lineno)
-        coeffs[idx] = _bind_scalar(field, right, lineno)
+        coeffs[idx] = bind(right, lineno)
     return TensorElement(g, rank, field, coeffs)
 
 
@@ -450,6 +467,7 @@ def parse_rep(text):
     group = _parse_group_items(group_items)
     zero = field.zero()
     mats = [[[zero] * dim for _ in range(dim)] for _ in range(group.order)]
+    bind = _scalar_binder(field)
     for lineno, rest in mat_items:
         left, right = _colon_split(rest, lineno, "mat")
         idx = _ints(left, lineno, "mat index")
@@ -460,7 +478,7 @@ def parse_rep(text):
         if not (0 <= h < group.order and 0 <= i < dim and 0 <= j < dim):
             raise FormatError(f"mat index ({h}, {i}, {j}) is out of range",
                               lineno)
-        mats[h][i][j] = _bind_scalar(field, right, lineno)
+        mats[h][i][j] = bind(right, lineno)
     try:
         return ProjectiveRep(group, mats, field)
     except ConstructionError as exc:
@@ -518,18 +536,19 @@ def parse_algebra(text):
     if dim is None or dim < 1:
         raise FormatError("algebra document is missing a positive dim line")
     m = [[{} for _ in range(dim)] for _ in range(dim)]
+    bind = _scalar_binder(field)
     for idx, right, lineno in sc:
         if len(idx) != 3 or not all(0 <= x < dim for x in idx):
             raise FormatError(f"sc indices {idx} are out of range", lineno)
         i, j, k = idx
         if k in m[i][j]:
             raise FormatError(f"duplicate sc entry at {tuple(idx)}", lineno)
-        m[i][j][k] = _bind_scalar(field, right, lineno)
+        m[i][j][k] = bind(right, lineno)
     unit_vec = {}
     for k, (right, lineno) in unit.items():
         if not 0 <= k < dim:
             raise FormatError(f"unit index {k} is out of range", lineno)
-        unit_vec[k] = _bind_scalar(field, right, lineno)
+        unit_vec[k] = bind(right, lineno)
     if labels:
         label_list = []
         for i in range(dim):

@@ -8,6 +8,7 @@ exponent arithmetic, so no field handle is needed at the group level.
 """
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd, lcm
 
 
@@ -173,12 +174,16 @@ class FiniteGroup:
         sub.embedding = members
         return sub
 
-    def generating_sequence(self):
-        """A short generating sequence, greedily extending by large-order elements."""
-        by_order = sorted(range(self.order), key=lambda a: -self.element_order(a))
+    def generating_sequence(self, classes=None):
+        """A short generating sequence, greedily extending by elements of the
+        rarest class first (classes[a] is the class of a; one class when
+        None), then of large order, then of low index."""
+        classes = classes or (None,) * self.order
+        size = Counter(classes)
         gens = []
         span = [self.identity]
-        for a in by_order:
+        for a in sorted(range(self.order), key=lambda a: (
+                size[classes[a]], -self.element_order(a), a)):
             if a not in span:
                 gens.append(a)
                 span = self.subgroup_generated(gens)
@@ -546,71 +551,104 @@ def semidirect_product(G, Astar, action, name=None):
 
 
 # ---------------------------------------------------------------------------
-# isomorphism search (brute force on generator images)
+# isomorphism search (generator images, with label refinement)
 
-def isomorphisms(G, H, limit=None):
-    """Yield isomorphisms G -> H as image lists, by generator backtracking."""
-    if G.order != H.order:
+def isomorphisms(G, H, limit=None, labels=None, pair_labels=None):
+    """Yield isomorphisms G -> H as image lists, by generator backtracking.
+
+    labels, when given, is a pair of per-element sequences of hashable
+    values (one for G, one for H): an isomorphism maps every element to
+    one with an equal label.  pair_labels, when given, is a pair of
+    callables (x, y) -> value, and an isomorphism keeps the value equal on
+    every pair of elements.
+
+    Generators come from G.generating_sequence over G's labels, so the
+    rarest label class is spent first; each one's candidate images share
+    its order and label.  A partial assignment is propagated over the
+    subgroup it generates, rejecting clashing products and labels, and a
+    new generator's pair labels are checked against every earlier one at
+    once.  A complete assignment is checked for multiplicativity and
+    pair labels on all pairs.
+    """
+    n = G.order
+    if n != H.order:
         return
-    gens = G.generating_sequence()
-    if not gens:
-        yield [H.identity]
+    lab1, lab2 = labels or ((None,) * n, (None,) * n)
+    key1 = [(G.element_order(a), lab1[a]) for a in range(n)]
+    pools = {}
+    for h in range(n):
+        pools.setdefault((H.element_order(h), lab2[h]), []).append(h)
+    # equal class sizes; this also matches the identities' labels, which
+    # propagation never compares
+    if any(len(pools.get(k, ())) != c for k, c in Counter(key1).items()):
         return
-    g_orders = [G.element_order(g) for g in gens]
-    by_order = {}
-    for h in range(H.order):
-        by_order.setdefault(H.element_order(h), []).append(h)
+    gens = G.generating_sequence(lab1)
+    cands = [pools[key1[g]] for g in gens]
+    pair1, pair2 = pair_labels or (None, None)
+    t1, t2 = G.table, H.table
     found = 0
 
-    def words(partial_images):
-        """Extend the partial generator assignment to the full group, or None."""
+    def propagate(assign):
         images = {G.identity: H.identity}
         frontier = [G.identity]
-        gen_img = dict(zip(gens[:len(partial_images)], partial_images))
         while frontier:
             nxt = []
             for x in frontier:
-                for g, hg in gen_img.items():
-                    y = G.mul(x, g)
-                    hy = H.mul(images[x], hg)
-                    if y in images:
-                        if images[y] != hy:
+                ix = images[x]
+                for g, hg in assign:
+                    y, hy = t1[x][g], t2[ix][hg]
+                    known = images.get(y)
+                    if known is None:
+                        if labels and lab1[y] != lab2[hy]:
                             return None
-                    else:
                         images[y] = hy
                         nxt.append(y)
+                    elif known != hy:
+                        return None
             frontier = nxt
         return images
 
-    def search(k, partial):
+    def complete(images):
+        if len(images) != n:
+            return None
+        img = [images[a] for a in range(n)]
+        if len(set(img)) != n:
+            return None
+        for a, ia in enumerate(img):
+            row2 = t2[ia]
+            if [img[x] for x in t1[a]] != [row2[y] for y in img]:
+                return None
+            if pair_labels and [pair1(a, b) for b in range(n)] != \
+                    [pair2(ia, y) for y in img]:
+                return None
+        return img
+
+    def search(assign, images):
         nonlocal found
         if limit is not None and found >= limit:
             return
+        k = len(assign)
         if k == len(gens):
-            images = words(partial)
-            if images and len(images) == G.order and \
-                    len(set(images.values())) == G.order:
-                # verify multiplicativity in full
-                ok = all(
-                    images[G.mul(a, b)] == H.mul(images[a], images[b])
-                    for a in range(G.order) for b in range(G.order))
-                if ok:
-                    found += 1
-                    yield [images[a] for a in range(G.order)]
+            img = complete(images)
+            if img is not None:
+                found += 1
+                yield img
             return
-        for h in by_order.get(g_orders[k], []):
-            images = words(partial + [h])
-            if images is None:
+        g = gens[k]
+        for h in cands[k]:
+            if pair_labels and any(pair1(g, gp) != pair2(h, hp)
+                                   for gp, hp in assign):
                 continue
-            yield from search(k + 1, partial + [h])
+            trial = assign + [(g, h)]
+            extended = propagate(trial)
+            if extended is not None:
+                yield from search(trial, extended)
 
-    yield from search(0, [])
+    yield from search([], {G.identity: H.identity})
 
 
 def find_isomorphism(G, H):
-    for iso in isomorphisms(G, H, limit=1):
-        return iso
-    return None
+    return next(isomorphisms(G, H, limit=1), None)
 
 
 def is_isomorphic(G, H):

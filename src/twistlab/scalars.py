@@ -282,12 +282,15 @@ class Cyc:
         return Cyc(m, out, self.den)
 
     def _pair(self, other):
-        if isinstance(other, int):
-            other = Cyc.from_int(other)
-        elif isinstance(other, Fraction):
-            other = Cyc.from_fraction(other)
-        elif not isinstance(other, Cyc):
-            return None, None
+        # Cyc is tested first: isinstance against Fraction goes through
+        # ABCMeta and is slow
+        if not isinstance(other, Cyc):
+            if isinstance(other, int):
+                other = Cyc.from_int(other)
+            elif isinstance(other, Fraction):
+                other = Cyc.from_fraction(other)
+            else:
+                return None, None
         if self.n == other.n:
             return self, other
         m = lcm(self.n, other.n)

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from twistlab import algebra
 from twistlab.scalars import (Cyc, CyclotomicField, PrimeField, ScalarError,
                               is_prime)
-from twistlab.groups import make_cyclic, abelian_group, symmetric, dihedral
+from twistlab.groups import (abelian_group, alternating4, dihedral,
+                             make_cyclic, symmetric)
 from twistlab.twists import identity_twist
 from twistlab.movshev import dual_movshev
 from twistlab.algebra import (
@@ -146,7 +147,7 @@ def test_invert_against_dense_oracle():
                 algebra_invert(x)
             continue
         inv = algebra_invert(x)
-        assert x * inv == unit1
+        assert x * inv == unit1 and inv * x == unit1
         expected = {members[i]: dense[i] for i in range(n) if dense[i]}
         assert inv.coeffs == expected
         checked += 1
@@ -183,6 +184,39 @@ def test_invert_nonabelian_support_against_dense_oracle():
             assert inv.coeffs == {members[i]: dense[i]
                                   for i in range(n) if dense[i]}
         assert nonabelian_runs >= 5
+
+
+def test_right_inverse_is_two_sided_on_every_route():
+    # algebra_invert checks t * inv = 1 only; inv * t = 1 is the oracle here.
+    # Gauge elements x = 4e + s + 2t on a generating pair (s, t), and the
+    # gauge twists Delta(x) (x^-1 (x) x^-1) built from them.
+    def gauge(G, s, t):
+        x = TensorElement(G, 1, Q, {(G.identity,): Q.from_int(4),
+                                    (s,): Q.one(), (t,): Q.from_int(2)})
+        x = x.scale(hopf_counit(x).inverse())
+        x_inv = algebra_invert(x)
+        return x, hopf_coproduct(x) * x_inv.outer(x_inv)
+
+    c6, s3, d4, a4 = abelian_group((2, 3)), symmetric(3), dihedral(4), \
+        alternating4()
+    x_c6, j_c6 = gauge(c6, 1, 3)
+    x_s3, j_s3 = gauge(s3, 3, 1)
+    x_d4, j_d4 = gauge(d4, 1, 4)
+    x_a4, _ = gauge(a4, 1, 4)
+    for route, t in (("fourier", x_c6), ("fourier", j_c6),
+                     ("central", x_d4), ("central", j_d4),
+                     ("krylov", x_s3), ("krylov", j_s3), ("krylov", x_a4)):
+        members = support_subgroup(t)
+        if algebra._fourier_invert(t, members) is not None:
+            taken = "fourier"
+        elif algebra._central_split_invert(t, members) is not None:
+            taken = "central"
+        else:
+            taken = "krylov"
+        assert taken == route
+        inv = algebra_invert(t)
+        unit = TensorElement.unit(t.group, t.rank, Q)
+        assert t * inv == unit and inv * t == unit
 
 
 def test_invert_rank2_and_prime_field():

@@ -5,7 +5,7 @@ import pytest
 
 from twistlab import algebra
 from twistlab.scalars import Cyc, CyclotomicField
-from twistlab.groups import abelian_group, make_cyclic, symmetric
+from twistlab.groups import abelian_group, isomorphisms, make_cyclic, symmetric
 from twistlab.twists import check_triangular, leg_span_rank, r_matrix
 from twistlab.movshev import count_grouplikes, dual_movshev
 from twistlab.constructions import (cocycle_ambient_group,
@@ -149,6 +149,34 @@ def test_transport_isomorphism_and_refusals():
     assert transport_isomorphism(trivial_u, nontriv[0]) is None
     c4 = [d.quadruple for d in data if d.quadruple.G.name == "C4"]
     assert transport_isomorphism(c4[0], c4[1]) is None
+
+
+def test_transport_isomorphism_matches_brute_force():
+    # every pair of raw order-8 quadruples with equal profile: a transport
+    # exists exactly when some automorphism maps u to u, H onto H and
+    # keeps the commutation bicharacter
+    qs = [d.quadruple for d in enumerate_quadruples(8, dedup=False)]
+    autos = {}
+    pairs = hits = 0
+    for i, q1 in enumerate(qs):
+        for q2 in qs[i + 1:]:
+            if q1.profile() != q2.profile():
+                continue
+            assert q1.G is q2.G
+            G = q1.G
+            if G.name not in autos:
+                autos[G.name] = list(isomorphisms(G, G))
+            h2 = set(q2.members)
+            brute = any(
+                phi[q1.u] == q2.u
+                and {phi[x] for x in q1.members} == h2
+                and all(q1.beta(x, y) == q2.beta(phi[x], phi[y])
+                        for x in q1.members for y in q1.members)
+                for phi in autos[G.name])
+            assert (transport_isomorphism(q1, q2) is not None) == brute
+            pairs += 1
+            hits += brute
+    assert pairs == 638 and 0 < hits < pairs
 
 
 def test_quadruple_validation():

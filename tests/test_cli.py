@@ -351,16 +351,20 @@ def test_exit_codes_and_diagnostics(tmp_path, capsys):
     assert "cannot read" in err
 
 
-@pytest.mark.parametrize("value", [
-    "Q(z_1) (1/0)", "Q(z_4) 1*z^7", "5 mod 0", "Q(z_4) 1*z^-1",
-    "Q(z_4) 1*z + 2*z", "Q(z_2003) 1",
-])
-def test_hostile_scalar_is_a_parse_error(tmp_path, capsys, value):
+@pytest.mark.parametrize("values", [
+    ("Q(z_1) (1/0)",), ("Q(z_4) 1*z^7",), ("5 mod 0",), ("Q(z_4) 1*z^-1",),
+    ("Q(z_4) 1*z + 2*z",), ("Q(z_2003) 1",),
+    # each parses, but together they need conductor 1536
+    ("Q(z_512) 1*z", "Q(z_3) 1*z"),
+], ids=", ".join)
+def test_hostile_scalar_is_a_parse_error(tmp_path, capsys, values):
+    """The values replace the first entries; the last one is refused."""
     lines = formats.format_tensor(
         twist_from_1cocycle(v4_cocycles()[1]).J).splitlines()
-    entry_at = next(i for i, l in enumerate(lines) if l.startswith("entry"))
-    key, _ = lines[entry_at].split(" : ")
-    lines[entry_at] = f"{key} : {value}"
+    entries = [i for i, l in enumerate(lines) if l.startswith("entry")]
+    for entry_at, value in zip(entries, values):
+        key, _ = lines[entry_at].split(" : ")
+        lines[entry_at] = f"{key} : {value}"
     doc = tmp_path / "hostile.txt"
     doc.write_text("\n".join(lines) + "\n")
     code, out, err = run_cli(capsys, "verify-twist", "--twist", str(doc))

@@ -239,12 +239,49 @@ def test_semidirect_trivial_action_is_direct():
     assert h.is_abelian()
 
 
+def test_labeled_isomorphisms_are_the_label_preserving_automorphisms():
+    V = AbelianGroup((2, 2, 2))
+    e1, e2, e3 = (V.index_of(t) for t in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    # a plane's nonzero elements plus e3: products of its elements leave
+    # the class, so generated elements need propagation's label check
+    plane_and_e3 = [x in (e1, e2, V.add(e1, e2), e3) for x in range(8)]
+    fixes_e1 = [x == e1 for x in range(8)]
+
+    def dot(x, y):
+        return sum(a * b for a, b in zip(V.tuple_of(x), V.tuple_of(y))) % 2
+
+    def at_sum(x, y):
+        # no generator is e1 + e2 + e3, so only the final check sees it
+        return x == y == V.index_of((1, 1, 1))
+
+    autos = list(isomorphisms(V, V))
+    for labels, pair, count in ((plane_and_e3, None, 6), (None, dot, 6),
+                                (fixes_e1, dot, 2), (None, at_sum, 24)):
+        want = [phi for phi in autos
+                if (labels is None or
+                    all(labels[x] == labels[phi[x]] for x in range(8)))
+                and (pair is None or
+                     all(pair(x, y) == pair(phi[x], phi[y])
+                         for x in range(8) for y in range(8)))]
+        got = list(isomorphisms(
+            V, V, labels=labels and (labels, labels),
+            pair_labels=pair and (pair, pair)))
+        assert sorted(got) == sorted(want) and len(got) == count
+
+
 def test_isomorphism_counts():
     c4 = make_cyclic(4)
     v4 = AbelianGroup((2, 2))
     assert find_isomorphism(c4, v4) is None
     assert len(list(isomorphisms(v4, v4))) == 6          # |GL(2,2)|
     assert len(list(isomorphisms(make_cyclic(6), AbelianGroup((2, 3))))) == 2
+    # |Aut| of builtin groups of orders 8, 9 and 12
+    for G, n_aut in ((make_cyclic(8), 4), (AbelianGroup((2, 4)), 8),
+                     (AbelianGroup((2, 2, 2)), 168), (dihedral(4), 8),
+                     (quaternion8(), 24), (AbelianGroup((3, 3)), 48),
+                     (alternating4(), 24), (AbelianGroup((2, 6)), 12),
+                     (make_cyclic(12), 4)):
+        assert len(list(isomorphisms(G, G))) == n_aut, G.name
     iso = find_isomorphism(dihedral(3), symmetric(3))
     s3 = symmetric(3)
     d3 = dihedral(3)
