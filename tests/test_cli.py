@@ -162,6 +162,276 @@ def test_invalid_cocycle_document_names_the_line():
         formats.parse_cocycles(doc)
 
 
+def doc_of(kind, *lines):
+    return "\n".join([f"twistlab {kind} v1", *lines]) + "\n"
+
+
+def edit(text, old, new):
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+def without(text, prefix):
+    return "".join(l for l in text.splitlines(True) if not l.startswith(prefix))
+
+
+C2_BLOCK = ("name C2", "order 2", "factors 2", "label 0 0", "label 1 1",
+            "row 0 0 1", "row 1 1 0")
+GROUP_DOC = doc_of("group", *C2_BLOCK)
+TENSOR_DOC = doc_of("tensor", "field cyclotomic", "rank 2",
+                    *("group " + l for l in C2_BLOCK), "entry 0 0 : Q(z_1) 1")
+ACTION_DOC = doc_of("action", "G factors 2", "A factors 2", "perm 0 : 0 1",
+                    "perm 1 : 0 1")
+COCYCLE_DOC = doc_of("cocycle", "G factors 2", "A factors 2", "perm 0 : 0 1",
+                     "perm 1 : 0 1", "pi 0 : 0 1")
+REP_DOC = doc_of("rep", "field cyclotomic", "dim 1",
+                 *("group " + l for l in C2_BLOCK),
+                 "mat 0 0 0 : Q(z_1) 1", "mat 1 0 0 : Q(z_1) 1")
+ALGEBRA_DOC = doc_of("algebra", "field cyclotomic", "dim 2", "label 0 Y_0",
+                     "label 1 Y_1", "unit 0 : Q(z_1) 1", "unit 1 : Q(z_1) 1",
+                     "sc 0 0 0 : Q(z_1) 1", "sc 1 1 1 : Q(z_1) 1")
+REPORT_DOC = doc_of("report", "command x", "title t", "check pass a",
+                    "check fail b", "witness w", "status fail", "summary",
+                    "  t")
+TABLE_DOC = doc_of("classify", "order 4", "columns name | u",
+                   "row 0 : C4 | 0", "row 1 : C2xC2 | 0,1", "status pass",
+                   "summary", "  name u")
+
+
+def parse_classify(text):
+    return formats.parse_table(text, "classify")
+
+
+# (parser, malformed document, exact FormatError text, line number)
+PARSE_FAULTS = {
+    "group-bad-header": (
+        formats.parse_group, edit(GROUP_DOC, " v1", " v2"),
+        "line 1: expected a 'twistlab <kind> v1' header, found "
+        "'twistlab group v2'", 1),
+    "group-wrong-kind": (
+        formats.parse_group, TENSOR_DOC,
+        "line 1: expected a group document, found 'tensor'", 1),
+    "group-empty": (
+        formats.parse_group, "  \n# only a comment\n", "empty document", None),
+    "group-unexpected-key": (
+        formats.parse_group, edit(GROUP_DOC, "name", "colour"),
+        "line 2: unexpected key 'colour' in group block", 2),
+    "group-missing-order": (
+        formats.parse_group, edit(GROUP_DOC, "order 2\n", ""),
+        "group block is missing an order line", None),
+    "group-bad-integer": (
+        formats.parse_group, edit(GROUP_DOC, "order 2", "order two"),
+        "line 3: order must be an integer, found 'two'", 3),
+    "group-row-out-of-range": (
+        formats.parse_group, edit(GROUP_DOC, "row 1", "row 5"),
+        "line 8: table row 5 does not match the declared factors", 8),
+    "tensor-bad-header": (
+        formats.parse_tensor, edit(TENSOR_DOC, "tensor v1", "tensor"),
+        "line 1: expected a 'twistlab <kind> v1' header, found "
+        "'twistlab tensor'", 1),
+    "tensor-wrong-kind": (
+        formats.parse_tensor, GROUP_DOC,
+        "line 1: expected a tensor document, found 'group'", 1),
+    "tensor-unexpected-key": (
+        formats.parse_tensor, edit(TENSOR_DOC, "rank 2", "rank 2\nweight 3"),
+        "line 4: unexpected key 'weight' in tensor document", 4),
+    "tensor-group-unexpected-key": (
+        formats.parse_tensor, edit(TENSOR_DOC, "group name", "group colour"),
+        "line 4: unexpected key 'colour' in group block", 4),
+    "tensor-missing-field": (
+        formats.parse_tensor, without(TENSOR_DOC, "field"),
+        "tensor document is missing a field line", None),
+    "tensor-missing-rank": (
+        formats.parse_tensor, without(TENSOR_DOC, "rank"),
+        "tensor document is missing a positive rank line", None),
+    "tensor-missing-group": (
+        formats.parse_tensor, without(TENSOR_DOC, "group"),
+        "tensor document carries no group block and no group was supplied",
+        None),
+    "tensor-group-missing-order": (
+        formats.parse_tensor, without(TENSOR_DOC, "group order"),
+        "group block is missing an order line", None),
+    "tensor-index-out-of-range": (
+        formats.parse_tensor, edit(TENSOR_DOC, "entry 0 0", "entry 0 5"),
+        "line 11: entry index 5 is out of range for order 2", 11),
+    "tensor-wrong-arity": (
+        formats.parse_tensor, edit(TENSOR_DOC, "entry 0 0", "entry 0"),
+        "line 11: entry has 1 indices, expected rank 2", 11),
+    "tensor-no-colon": (
+        formats.parse_tensor, edit(TENSOR_DOC, " : ", " "),
+        "line 11: entry line needs ' : ' between indices and value", 11),
+    "tensor-duplicate-entry": (
+        formats.parse_tensor, TENSOR_DOC + "entry 0 0 : Q(z_1) 2\n",
+        "line 12: duplicate entry at (0, 0)", 12),
+    "tensor-bad-scalar": (
+        formats.parse_tensor, edit(TENSOR_DOC, "Q(z_1) 1", "Q(z_2003) 1"),
+        "line 11: bad scalar 'Q(z_2003) 1': conductor 2003 is outside "
+        "1..1024", 11),
+    "tensor-bad-field": (
+        formats.parse_tensor, edit(TENSOR_DOC, "cyclotomic", "real"),
+        "line 2: bad field spec 'real': cannot parse field spec 'real'", 2),
+    "tensor-scalar-off-field": (
+        formats.parse_tensor, edit(TENSOR_DOC, "Q(z_1) 1", "3 mod 5"),
+        "line 11: scalar '3 mod 5' is not a cyclotomic value", 11),
+    "action-bad-header": (
+        formats.parse_action, edit(ACTION_DOC, "twistlab", "twistlib"),
+        "line 1: expected a 'twistlab <kind> v1' header, found "
+        "'twistlib action v1'", 1),
+    "action-wrong-kind": (
+        formats.parse_action, COCYCLE_DOC,
+        "line 1: expected a action document, found 'cocycle'", 1),
+    "action-unexpected-key": (
+        formats.parse_action, edit(ACTION_DOC, "A factors", "B factors"),
+        "line 3: unexpected key 'B' in action document", 3),
+    "action-unexpected-subkey": (
+        formats.parse_action, edit(ACTION_DOC, "G factors", "G order"),
+        "line 2: unexpected key 'G order'", 2),
+    "action-missing-factors": (
+        formats.parse_action, without(ACTION_DOC, "A factors"),
+        "action document needs 'G factors' and 'A factors'", None),
+    "action-missing-perm": (
+        formats.parse_action, without(ACTION_DOC, "perm 1"),
+        "action document is missing perm 1", None),
+    "action-perm-out-of-range": (
+        formats.parse_action, edit(ACTION_DOC, "perm 1 : 0 1", "perm 1 : 0 2"),
+        "line 5: perm 1 is not a permutation of 0..1", 5),
+    "cocycle-bad-header": (
+        formats.parse_cocycles, edit(COCYCLE_DOC, "v1", "v1 extra"),
+        "line 1: expected a 'twistlab <kind> v1' header, found "
+        "'twistlab cocycle v1 extra'", 1),
+    "cocycle-wrong-kind": (
+        formats.parse_cocycles, ACTION_DOC,
+        "line 1: expected a cocycle document, found 'action'", 1),
+    "cocycle-unexpected-key": (
+        formats.parse_cocycles, edit(COCYCLE_DOC, "pi 0", "sigma 0"),
+        "line 6: unexpected key 'sigma' in action document", 6),
+    "cocycle-missing-pi": (
+        formats.parse_cocycles, without(COCYCLE_DOC, "pi"),
+        "cocycle document holds no pi lines", None),
+    "cocycle-pi-count": (
+        formats.parse_cocycles, edit(COCYCLE_DOC, "pi 0", "pi 1"),
+        "line 6: pi indices must count up from 0, found 1", 6),
+    "cocycle-pi-out-of-range": (
+        formats.parse_cocycles, edit(COCYCLE_DOC, "pi 0 : 0 1", "pi 0 : 0 1 1"),
+        "line 6: pi 0 has 3 values, expected 2", 6),
+    "cocycle-pi-invalid": (
+        formats.parse_cocycles, edit(COCYCLE_DOC, "pi 0 : 0 1", "pi 0 : 1 0"),
+        "line 6: pi 0 is invalid: pi violates the 1-cocycle condition", 6),
+    "rep-bad-header": (
+        formats.parse_rep, edit(REP_DOC, "rep v1", "rep v1.0"),
+        "line 1: expected a 'twistlab <kind> v1' header, found "
+        "'twistlab rep v1.0'", 1),
+    "rep-wrong-kind": (
+        formats.parse_rep, ALGEBRA_DOC,
+        "line 1: expected a rep document, found 'algebra'", 1),
+    "rep-unexpected-key": (
+        formats.parse_rep, edit(REP_DOC, "dim 1", "dim 1\nrank 2"),
+        "line 4: unexpected key 'rank' in rep document", 4),
+    "rep-missing-dim": (
+        formats.parse_rep, without(REP_DOC, "dim"),
+        "rep document is missing a positive dim line", None),
+    "rep-missing-group": (
+        formats.parse_rep, without(REP_DOC, "group"),
+        "rep document is missing its group block", None),
+    "rep-index-out-of-range": (
+        formats.parse_rep, edit(REP_DOC, "mat 1 0 0", "mat 1 0 1"),
+        "line 12: mat index (1, 0, 1) is out of range", 12),
+    "rep-bad-scalar": (
+        formats.parse_rep, edit(REP_DOC, "Q(z_1) 1\nmat", "Q(z_4) 1*z^9\nmat"),
+        "line 11: bad scalar 'Q(z_4) 1*z^9': exponent 9 is outside 0..1 in "
+        "Q(z_4)", 11),
+    "algebra-bad-header": (
+        formats.parse_algebra, edit(ALGEBRA_DOC, "v1", "v1 v1"),
+        "line 1: expected a 'twistlab <kind> v1' header, found "
+        "'twistlab algebra v1 v1'", 1),
+    "algebra-wrong-kind": (
+        formats.parse_algebra, REP_DOC,
+        "line 1: expected a algebra document, found 'rep'", 1),
+    "algebra-unexpected-key": (
+        formats.parse_algebra, edit(ALGEBRA_DOC, "label 0", "lable 0"),
+        "line 4: unexpected key 'lable' in algebra document", 4),
+    "algebra-missing-dim": (
+        formats.parse_algebra, without(ALGEBRA_DOC, "dim"),
+        "algebra document is missing a positive dim line", None),
+    "algebra-missing-label": (
+        formats.parse_algebra, without(ALGEBRA_DOC, "label 1"),
+        "algebra document is missing label 1", None),
+    "algebra-sc-out-of-range": (
+        formats.parse_algebra, edit(ALGEBRA_DOC, "sc 1 1 1", "sc 1 1 2"),
+        "line 9: sc indices [1, 1, 2] are out of range", 9),
+    "algebra-unit-out-of-range": (
+        formats.parse_algebra, edit(ALGEBRA_DOC, "unit 1", "unit 2"),
+        "line 7: unit index 2 is out of range", 7),
+    "algebra-duplicate-sc": (
+        formats.parse_algebra, ALGEBRA_DOC + "sc 0 0 0 : Q(z_1) 2\n",
+        "line 10: duplicate sc entry at (0, 0, 0)", 10),
+    "algebra-bad-scalar": (
+        formats.parse_algebra,
+        edit(ALGEBRA_DOC, "unit 1 : Q(z_1) 1", "unit 1 : Q(z_1) (1/0)"),
+        "line 7: bad scalar 'Q(z_1) (1/0)': zero denominator in '1/0'", 7),
+    "report-bad-header": (
+        formats.parse_report, edit(REPORT_DOC, "v1", "v2"),
+        "line 1: expected a report document header, found "
+        "'twistlab report v2'", 1),
+    "report-wrong-kind": (
+        formats.parse_report, TABLE_DOC,
+        "line 1: expected a report document header, found "
+        "'twistlab classify v1'", 1),
+    "report-empty": (
+        formats.parse_report, "\n\n", "empty document", None),
+    "report-missing-status": (
+        formats.parse_report, without(REPORT_DOC, "status"),
+        "report document is missing a status line", None),
+    "report-bad-verdict": (
+        formats.parse_report, edit(REPORT_DOC, "check pass", "check maybe"),
+        "line 4: check verdict must be pass or fail, found 'maybe'", 4),
+    "report-bad-status": (
+        formats.parse_report, edit(REPORT_DOC, "status fail", "status ok"),
+        "line 7: status must be pass or fail, found 'ok'", 7),
+    "report-witness-first": (
+        formats.parse_report, edit(REPORT_DOC, "title t", "witness early"),
+        "line 3: witness line before any check", 3),
+    "table-bad-header": (
+        parse_classify, edit(TABLE_DOC, "v1", "v1 v1"),
+        "line 1: expected a classify document header, found "
+        "'twistlab classify v1 v1'", 1),
+    "table-wrong-kind": (
+        parse_classify, REPORT_DOC,
+        "line 1: expected a classify document header, found "
+        "'twistlab report v1'", 1),
+    "table-missing-columns": (
+        parse_classify, without(TABLE_DOC, "columns"),
+        "classify document is missing a columns line", None),
+    "table-row-count": (
+        parse_classify, edit(TABLE_DOC, "row 1", "row 2"),
+        "line 5: row indices must count up from 0, found 2", 5),
+    "table-row-index": (
+        parse_classify, edit(TABLE_DOC, "row 1", "row one"),
+        "line 5: row index must be an integer, found 'one'", 5),
+    "table-row-cells": (
+        parse_classify, edit(TABLE_DOC, "C2xC2 | 0,1", "C2xC2"),
+        "row 1 has 1 cells for 2 columns", None),
+}
+
+
+@pytest.mark.parametrize("case", PARSE_FAULTS)
+def test_parse_fault_diagnostics(case):
+    parse, text, message, line = PARSE_FAULTS[case]
+    with pytest.raises(FormatError) as info:
+        parse(text)
+    assert (str(info.value), info.value.line) == (message, line)
+
+
+def test_listing_summary_is_free_text():
+    """Nothing after a report's or table's summary line is parsed."""
+    junk = "check maybe x\nrow 9 : a\nstatus unknown\n"
+    title, checks, status = formats.parse_report(REPORT_DOC + junk)
+    assert (title, checks, status) == (
+        "t", [("a", True, ""), ("b", False, "w")], False)
+    assert formats.parse_table(TABLE_DOC + junk, "classify") == (
+        {"order": "4"}, ["name", "u"], [["C4", "0"], ["C2xC2", "0,1"]], True)
+
+
 # ---------------------------------------------------------------------------
 # command line flows
 
