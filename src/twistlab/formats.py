@@ -8,6 +8,8 @@ never contain floating point.  Writers emit keys in a fixed order and
 entries in sorted index order: equal values produce identical bytes.
 """
 
+from bisect import bisect
+from itertools import takewhile
 from math import lcm
 
 from .scalars import (MAX_CONDUCTOR, Cyc, Fp, ScalarError, make_field,
@@ -34,41 +36,79 @@ class FormatError(ValueError):
 # line scanning
 
 def _body(text):
-    items = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        items.append((lineno, line))
+    items = [(lineno, line.strip())
+             for lineno, line in enumerate(text.splitlines(), start=1)]
+    items = [(lineno, line) for lineno, line in items
+             if line and not line.startswith("#")]
     if not items:
         raise FormatError("empty document")
     return items
 
 
-def document_kind(text):
-    """The <kind> of the header line, for dispatch diagnostics."""
-    lineno, line = _body(text)[0]
-    parts = line.split()
+def _kind(lineno, header):
+    parts = header.split()
     if len(parts) != 3 or parts[0] != "twistlab" or parts[2] != FORMAT_VERSION:
         raise FormatError(f"expected a 'twistlab <kind> {FORMAT_VERSION}' "
-                          f"header, found {line!r}", lineno)
+                          f"header, found {header!r}", lineno)
     return parts[1]
 
 
-def _expect(text, kind):
-    items = _body(text)
-    found = document_kind(text)
+def document_kind(text):
+    """The <kind> of the header line, for dispatch diagnostics."""
+    return _kind(*_body(text)[0])
+
+
+def _split_key(line):
+    """(first word, the rest); both are empty for an empty line."""
+    parts = line.split(None, 1) + ["", ""]
+    return parts[0], parts[1]
+
+
+def _collect(items, keys, where=None):
+    """The (lineno, rest) of each body line `key rest` in `items`, grouped by
+    key in document order.  A key outside `keys` is unexpected in `where`;
+    with no `where` its whole lines are kept under None instead."""
+    found = {key: [] for key in (*keys, None)}
+    for lineno, line in items:
+        key, rest = _split_key(line)
+        if key in found:
+            found[key].append((lineno, rest))
+        elif where is None:
+            found[None].append((lineno, line))
+        else:
+            raise FormatError(f"unexpected key {key!r} in {where}", lineno)
+    return found
+
+
+def _scan(text, kind, keys, where=None, listing=False):
+    """Check the `twistlab <kind> v1` header and _collect the body.
+
+    A listing (report or table) must carry its header verbatim, its body
+    ends at the `summary` line, and its other keys form the preamble.
+    Elsewhere an unknown key is an error in `where`, by default the kind's
+    document.
+    """
+    (lineno, header), *body = _body(text)
+    if listing:
+        if header != f"twistlab {kind} {FORMAT_VERSION}":
+            raise FormatError(f"expected a {kind} document header, "
+                              f"found {header!r}", lineno)
+        return _collect(takewhile(
+            lambda item: _split_key(item[1])[0] != "summary", body), keys)
+    found = _kind(lineno, header)
     if found != kind:
         raise FormatError(f"expected a {kind} document, found {found!r}",
-                          items[0][0])
-    return items[1:]
+                          lineno)
+    return _collect(body, keys, where or f"{kind} document")
 
 
-def _split_key(line, lineno):
-    parts = line.split(None, 1)
-    if len(parts) == 1:
-        return parts[0], ""
-    return parts[0], parts[1]
+def _last(lines, read):
+    """read(rest, lineno) of the last of a key's lines, or None.  Every line
+    is read, so a bad one is reported even when a later one overrides it."""
+    value = None
+    for lineno, rest in lines:
+        value = read(rest, lineno)
+    return value
 
 
 def _int(tok, lineno, what):
@@ -90,6 +130,32 @@ def _colon_split(rest, lineno, key):
     return left.strip(), right.strip()
 
 
+def _indexed(lines, key):
+    """(lineno, indices, value text) of each `key i j ... : value` line."""
+    for lineno, rest in lines:
+        left, right = _colon_split(rest, lineno, key)
+        yield lineno, _ints(left, lineno, f"{key} index"), right
+
+
+def _labels(lines):
+    """{index: text} of `label i text` lines."""
+    labels = {}
+    for lineno, rest in lines:
+        parts = rest.split(None, 1)
+        if len(parts) != 2:
+            raise FormatError("label line needs an index and a text", lineno)
+        labels[_int(parts[0], lineno, "label index")] = parts[1]
+    return labels
+
+
+def _in_order(entries, count, missing):
+    """[entries[0], ..., entries[count - 1]]; `missing` names a gap."""
+    for i in range(count):
+        if i not in entries:
+            raise FormatError(f"{missing} {i}")
+    return [entries[i] for i in range(count)]
+
+
 def field_spec_string(spec):
     """Inverse of parse_field_spec on normalized specs."""
     if spec.kind == "cyclotomic":
@@ -108,11 +174,22 @@ def _parse_field_line(rest, lineno):
         raise FormatError(f"bad field spec {rest!r}: {exc}", lineno)
 
 
-def _scalar_binder(field):
+def _field_and_size(found, kind, size):
+    """The field and the positive `size` (rank or dim) of a document."""
+    field = _last(found["field"], _parse_field_line)
+    n = _last(found[size], lambda rest, lineno: _int(rest, lineno, size))
+    if field is None:
+        raise FormatError(f"{kind} document is missing a field line")
+    if n is None or n < 1:
+        raise FormatError(f"{kind} document is missing a positive {size} "
+                          f"line")
+    return field, n
+
+
+def _scalar_binder(field, conductor=1):
     """Parser for one document's scalars in `field`.  It refuses the entry
-    that takes the lcm of the conductors so far past MAX_CONDUCTOR, which
-    arithmetic between the entries would need."""
-    conductor = 1
+    that takes the lcm of `conductor` and the conductors so far past
+    MAX_CONDUCTOR, which arithmetic between the entries would need."""
 
     def bind(text, lineno):
         nonlocal conductor
@@ -155,32 +232,23 @@ def format_group(group):
     return "\n".join([f"twistlab group {FORMAT_VERSION}", *group_lines(group)]) + "\n"
 
 
-def _parse_group_items(items):
-    name, order, factors = "G", None, None
-    labels, rows = {}, {}
-    for lineno, line in items:
-        key, rest = _split_key(line, lineno)
-        if key == "name":
-            name = rest
-        elif key == "order":
-            order = _int(rest, lineno, "order")
-        elif key == "factors":
-            factors = _ints(rest, lineno, "factor")
-        elif key == "label":
-            parts = rest.split(None, 1)
-            if len(parts) != 2:
-                raise FormatError("label line needs an index and a text",
-                                  lineno)
-            labels[_int(parts[0], lineno, "label index")] = parts[1]
-        elif key == "row":
-            toks = rest.split()
-            if not toks:
-                raise FormatError("row line needs an index and entries", lineno)
-            idx = _int(toks[0], lineno, "row index")
-            rows[idx] = ([_int(t, lineno, "table entry") for t in toks[1:]],
-                         lineno)
-        else:
-            raise FormatError(f"unexpected key {key!r} in group block", lineno)
+_GROUP_KEYS = ("name", "order", "factors", "label", "row")
+
+
+def _group(found):
+    """The group of a group block's lines, collected under _GROUP_KEYS."""
+    name = found["name"][-1][1] if found["name"] else "G"
+    order = _last(found["order"],
+                  lambda rest, lineno: _int(rest, lineno, "order"))
+    factors = _last(found["factors"],
+                    lambda rest, lineno: _ints(rest, lineno, "factor"))
+    labels, rows = _labels(found["label"]), {}
+    for lineno, rest in found["row"]:
+        toks = rest.split()
+        if not toks:
+            raise FormatError("row line needs an index and entries", lineno)
+        rows[_int(toks[0], lineno, "row index")] = (
+            [_int(t, lineno, "table entry") for t in toks[1:]], lineno)
     if order is None:
         raise FormatError("group block is missing an order line")
     if factors is not None:
@@ -201,31 +269,28 @@ def _parse_group_items(items):
                 raise FormatError(f"label {i} does not match the declared "
                                   f"factors")
         return g
-    table = []
-    for i in range(order):
-        if i not in rows:
-            raise FormatError(f"group block is missing row {i}")
-        row, lineno = rows[i]
+    table = _in_order(rows, order, "group block is missing row")
+    for i, (row, lineno) in enumerate(table):
         if len(row) != order:
             raise FormatError(
                 f"row {i} has {len(row)} entries, expected {order}", lineno)
-        table.append(row)
-    if labels:
-        label_list = []
-        for i in range(order):
-            if i not in labels:
-                raise FormatError(f"group block is missing label {i}")
-            label_list.append(labels[i])
-    else:
-        label_list = None
+    label_list = (_in_order(labels, order, "group block is missing label")
+                  if labels else None)
     try:
-        return FiniteGroup(table, labels=label_list, name=name)
+        return FiniteGroup([row for row, _ in table], labels=label_list,
+                           name=name)
     except GroupError as exc:
         raise FormatError(f"invalid group table: {exc}")
 
 
 def parse_group(text):
-    return _parse_group_items(_expect(text, "group"))
+    return _group(_scan(text, "group", _GROUP_KEYS, "group block"))
+
+
+def _embedded_group(lines):
+    """The group of a document's `group ...` lines, or None without any."""
+    return _group(_collect(lines, _GROUP_KEYS, "group block")) if lines \
+        else None
 
 
 def _check_same_group(supplied, embedded):
@@ -259,26 +324,9 @@ def parse_tensor(text, group=None):
     supplied group object is used so the result composes with values built
     on it.
     """
-    field, rank = None, None
-    group_items, entries = [], []
-    for lineno, line in _expect(text, "tensor"):
-        key, rest = _split_key(line, lineno)
-        if key == "field":
-            field = _parse_field_line(rest, lineno)
-        elif key == "rank":
-            rank = _int(rest, lineno, "rank")
-        elif key == "group":
-            group_items.append((lineno, rest))
-        elif key == "entry":
-            entries.append((lineno, rest))
-        else:
-            raise FormatError(f"unexpected key {key!r} in tensor document",
-                              lineno)
-    if field is None:
-        raise FormatError("tensor document is missing a field line")
-    if rank is None or rank < 1:
-        raise FormatError("tensor document is missing a positive rank line")
-    embedded = _parse_group_items(group_items) if group_items else None
+    found = _scan(text, "tensor", ("field", "rank", "group", "entry"))
+    field, rank = _field_and_size(found, "tensor", "rank")
+    embedded = _embedded_group(found["group"])
     if group is not None and embedded is not None:
         g = _check_same_group(group, embedded)
     elif group is not None:
@@ -288,11 +336,12 @@ def parse_tensor(text, group=None):
     else:
         raise FormatError("tensor document carries no group block and no "
                           "group was supplied")
-    bind = _scalar_binder(field)
+    # Fourier and central-split inversion use the roots of unity of the
+    # group's exponent
+    bind = _scalar_binder(field, g.exponent())
     coeffs = {}
-    for lineno, rest in entries:
-        left, right = _colon_split(rest, lineno, "entry")
-        idx = tuple(_ints(left, lineno, "entry index"))
+    for lineno, idx, right in _indexed(found["entry"], "entry"):
+        idx = tuple(idx)
         if len(idx) != rank:
             raise FormatError(
                 f"entry has {len(idx)} indices, expected rank {rank}", lineno)
@@ -326,28 +375,28 @@ def format_action(action):
                       *action_lines(action)]) + "\n"
 
 
-def _parse_action_items(items, G=None, A=None):
-    g_factors, a_factors = None, None
+_ACTION_KEYS = ("G", "A", "perm")
+
+
+def _side_factors(side, lines):
+    """The cyclic factors of the last `<side> factors ...` line."""
+    def read(rest, lineno):
+        sub, rest = _split_key(rest)
+        if sub != "factors":
+            raise FormatError(f"unexpected key '{side} {sub}'", lineno)
+        return _ints(rest, lineno, "factor")
+    return _last(lines, read)
+
+
+def _action(found, G=None, A=None):
+    """The action of a document's lines, collected under _ACTION_KEYS."""
+    g_factors = _side_factors("G", found["G"])
+    a_factors = _side_factors("A", found["A"])
     perms = {}
-    for lineno, line in items:
-        key, rest = _split_key(line, lineno)
-        if key == "G":
-            sub, rest2 = _split_key(rest, lineno)
-            if sub != "factors":
-                raise FormatError(f"unexpected key 'G {sub}'", lineno)
-            g_factors = _ints(rest2, lineno, "factor")
-        elif key == "A":
-            sub, rest2 = _split_key(rest, lineno)
-            if sub != "factors":
-                raise FormatError(f"unexpected key 'A {sub}'", lineno)
-            a_factors = _ints(rest2, lineno, "factor")
-        elif key == "perm":
-            left, right = _colon_split(rest, lineno, "perm")
-            perms[_int(left, lineno, "perm index")] = (
-                _ints(right, lineno, "perm entry"), lineno)
-        else:
-            raise FormatError(f"unexpected key {key!r} in action document",
-                              lineno)
+    for lineno, rest in found["perm"]:
+        left, right = _colon_split(rest, lineno, "perm")
+        perms[_int(left, lineno, "perm index")] = (
+            _ints(right, lineno, "perm entry"), lineno)
     if g_factors is None or a_factors is None:
         raise FormatError("action document needs 'G factors' and 'A factors'")
     gf, af = tuple(g_factors), tuple(a_factors)
@@ -361,23 +410,19 @@ def _parse_action_items(items, G=None, A=None):
     elif not isinstance(A, AbelianGroup) or A.factors != AbelianGroup(af).factors:
         raise FormatError(f"document A factors {af} do not match the "
                           f"requested group")
-    perm_list = []
-    for g in range(G.order):
-        if g not in perms:
-            raise FormatError(f"action document is missing perm {g}")
-        p, lineno = perms[g]
+    perm_list = _in_order(perms, G.order, "action document is missing perm")
+    for g, (p, lineno) in enumerate(perm_list):
         if sorted(p) != list(range(A.order)):
             raise FormatError(
                 f"perm {g} is not a permutation of 0..{A.order - 1}", lineno)
-        perm_list.append(p)
     try:
-        return GroupAction(G, A, perm_list)
+        return GroupAction(G, A, [p for p, _ in perm_list])
     except GroupError as exc:
         raise FormatError(f"invalid action: {exc}")
 
 
 def parse_action(text, G=None, A=None):
-    return _parse_action_items(_expect(text, "action"), G=G, A=A)
+    return _action(_scan(text, "action", _ACTION_KEYS), G=G, A=A)
 
 
 # ---------------------------------------------------------------------------
@@ -393,18 +438,11 @@ def format_cocycles(action, pis):
 
 def parse_cocycles(text):
     """All cocycles of the document, validated, in document order."""
-    items = _expect(text, "cocycle")
-    action_items, pi_items = [], []
-    for lineno, line in items:
-        key, _ = _split_key(line, lineno)
-        if key == "pi":
-            pi_items.append((lineno, line))
-        else:
-            action_items.append((lineno, line))
-    action = _parse_action_items(action_items)
+    # unknown keys are reported as the action part's
+    found = _scan(text, "cocycle", (*_ACTION_KEYS, "pi"), "action document")
+    action = _action(found)
     out = []
-    for lineno, line in pi_items:
-        _, rest = _split_key(line, lineno)
+    for lineno, rest in found["pi"]:
         left, right = _colon_split(rest, lineno, "pi")
         k = _int(left, lineno, "pi index")
         if k != len(out):
@@ -443,34 +481,15 @@ def format_rep(rep):
 
 
 def parse_rep(text):
-    field, dim = None, None
-    group_items, mat_items = [], []
-    for lineno, line in _expect(text, "rep"):
-        key, rest = _split_key(line, lineno)
-        if key == "field":
-            field = _parse_field_line(rest, lineno)
-        elif key == "dim":
-            dim = _int(rest, lineno, "dim")
-        elif key == "group":
-            group_items.append((lineno, rest))
-        elif key == "mat":
-            mat_items.append((lineno, rest))
-        else:
-            raise FormatError(f"unexpected key {key!r} in rep document",
-                              lineno)
-    if field is None:
-        raise FormatError("rep document is missing a field line")
-    if dim is None or dim < 1:
-        raise FormatError("rep document is missing a positive dim line")
-    if not group_items:
+    found = _scan(text, "rep", ("field", "dim", "group", "mat"))
+    field, dim = _field_and_size(found, "rep", "dim")
+    if not found["group"]:
         raise FormatError("rep document is missing its group block")
-    group = _parse_group_items(group_items)
+    group = _embedded_group(found["group"])
     zero = field.zero()
     mats = [[[zero] * dim for _ in range(dim)] for _ in range(group.order)]
     bind = _scalar_binder(field)
-    for lineno, rest in mat_items:
-        left, right = _colon_split(rest, lineno, "mat")
-        idx = _ints(left, lineno, "mat index")
+    for lineno, idx, right in _indexed(found["mat"], "mat"):
         if len(idx) != 3:
             raise FormatError("mat line needs element, row and column indices",
                               lineno)
@@ -508,36 +527,15 @@ def format_algebra(alg):
 
 def parse_algebra(text):
     from .algebra import AlgebraError, StructureConstantAlgebra
-    field, dim = None, None
-    labels, unit, sc = {}, {}, []
-    for lineno, line in _expect(text, "algebra"):
-        key, rest = _split_key(line, lineno)
-        if key == "field":
-            field = _parse_field_line(rest, lineno)
-        elif key == "dim":
-            dim = _int(rest, lineno, "dim")
-        elif key == "label":
-            parts = rest.split(None, 1)
-            if len(parts) != 2:
-                raise FormatError("label line needs an index and a text",
-                                  lineno)
-            labels[_int(parts[0], lineno, "label index")] = parts[1]
-        elif key == "unit":
-            left, right = _colon_split(rest, lineno, "unit")
-            unit[_int(left, lineno, "unit index")] = (right, lineno)
-        elif key == "sc":
-            left, right = _colon_split(rest, lineno, "sc")
-            sc.append((_ints(left, lineno, "sc index"), right, lineno))
-        else:
-            raise FormatError(f"unexpected key {key!r} in algebra document",
-                              lineno)
-    if field is None:
-        raise FormatError("algebra document is missing a field line")
-    if dim is None or dim < 1:
-        raise FormatError("algebra document is missing a positive dim line")
+    found = _scan(text, "algebra", ("field", "dim", "label", "unit", "sc"))
+    field, dim = _field_and_size(found, "algebra", "dim")
+    labels, unit = _labels(found["label"]), {}
+    for lineno, rest in found["unit"]:
+        left, right = _colon_split(rest, lineno, "unit")
+        unit[_int(left, lineno, "unit index")] = (right, lineno)
     m = [[{} for _ in range(dim)] for _ in range(dim)]
     bind = _scalar_binder(field)
-    for idx, right, lineno in sc:
+    for lineno, idx, right in _indexed(found["sc"], "sc"):
         if len(idx) != 3 or not all(0 <= x < dim for x in idx):
             raise FormatError(f"sc indices {idx} are out of range", lineno)
         i, j, k = idx
@@ -549,14 +547,8 @@ def parse_algebra(text):
         if not 0 <= k < dim:
             raise FormatError(f"unit index {k} is out of range", lineno)
         unit_vec[k] = bind(right, lineno)
-    if labels:
-        label_list = []
-        for i in range(dim):
-            if i not in labels:
-                raise FormatError(f"algebra document is missing label {i}")
-            label_list.append(labels[i])
-    else:
-        label_list = None
+    label_list = (_in_order(labels, dim, "algebra document is missing label")
+                  if labels else None)
     try:
         return StructureConstantAlgebra(m, unit_vec, field, labels=label_list)
     except AlgebraError as exc:
@@ -595,45 +587,31 @@ def parse_report(text):
     Keys other than the check grammar are collected silently: commands put
     their own preamble lines (field, seed, ...) before the title.
     """
-    title, checks, status = "", [], None
-    in_summary = False
-    header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if in_summary:
-            continue
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != f"twistlab report {FORMAT_VERSION}":
-                raise FormatError(f"expected a report document header, "
-                                  f"found {line!r}", lineno)
-            header_seen = True
-            continue
-        key, rest = _split_key(line, lineno)
-        if key == "title":
-            title = rest
-        elif key == "check":
-            verdict, name = _split_key(rest, lineno)
-            if verdict not in ("pass", "fail"):
-                raise FormatError(f"check verdict must be pass or fail, "
-                                  f"found {verdict!r}", lineno)
-            checks.append([name, verdict == "pass", ""])
-        elif key == "witness":
-            if not checks:
-                raise FormatError("witness line before any check", lineno)
-            checks[-1][2] = rest
-        elif key == "status":
-            if rest not in ("pass", "fail"):
-                raise FormatError(f"status must be pass or fail, found "
-                                  f"{rest!r}", lineno)
-            status = rest == "pass"
-        elif key == "summary":
-            in_summary = True
-    if not header_seen:
-        raise FormatError("empty document")
+    found = _scan(text, "report", ("title", "check", "witness", "status"),
+                  listing=True)
+    checks = []
+    for lineno, rest in found["check"]:
+        verdict, name = _split_key(rest)
+        if verdict not in ("pass", "fail"):
+            raise FormatError(f"check verdict must be pass or fail, "
+                              f"found {verdict!r}", lineno)
+        checks.append([name, verdict == "pass", ""])
+    # a witness belongs to the last check above it
+    check_lines = [lineno for lineno, _ in found["check"]]
+    for lineno, rest in found["witness"]:
+        above = bisect(check_lines, lineno)
+        if not above:
+            raise FormatError("witness line before any check", lineno)
+        checks[above - 1][2] = rest
+    status = None
+    for lineno, rest in found["status"]:
+        if rest not in ("pass", "fail"):
+            raise FormatError(f"status must be pass or fail, found "
+                              f"{rest!r}", lineno)
+        status = rest == "pass"
     if status is None:
         raise FormatError("report document is missing a status line")
+    title = found["title"][-1][1] if found["title"] else ""
     return title, [tuple(c) for c in checks], status
 
 
@@ -669,43 +647,22 @@ def format_table(kind, preamble, columns, rows, status=None):
 
 def parse_table(text, kind):
     """(preamble dict, columns, rows, status) of a listing document."""
-    preamble, columns, rows, status = {}, None, [], None
-    in_summary = False
-    header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if in_summary:
-            continue
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != f"twistlab {kind} {FORMAT_VERSION}":
-                raise FormatError(f"expected a {kind} document header, "
-                                  f"found {line!r}", lineno)
-            header_seen = True
-            continue
-        key, rest = _split_key(line, lineno)
-        if key == "columns":
-            columns = rest.split(" | ")
-        elif key == "row":
-            left, right = _colon_split(rest, lineno, "row")
-            idx = _int(left, lineno, "row index")
-            if idx != len(rows):
-                raise FormatError(f"row indices must count up from 0, "
-                                  f"found {idx}", lineno)
-            rows.append(right.split(" | "))
-        elif key == "status":
-            status = rest == "pass"
-        elif key == "summary":
-            in_summary = True
-        else:
-            preamble[key] = rest
-    if not header_seen:
-        raise FormatError("empty document")
-    if columns is None:
+    found = _scan(text, kind, ("columns", "row", "status"), listing=True)
+    rows = []
+    for lineno, rest in found["row"]:
+        left, right = _colon_split(rest, lineno, "row")
+        idx = _int(left, lineno, "row index")
+        if idx != len(rows):
+            raise FormatError(f"row indices must count up from 0, "
+                              f"found {idx}", lineno)
+        rows.append(right.split(" | "))
+    if not found["columns"]:
         raise FormatError(f"{kind} document is missing a columns line")
+    columns = found["columns"][-1][1].split(" | ")
     for i, row in enumerate(rows):
         if len(row) != len(columns):
             raise FormatError(f"row {i} has {len(row)} cells for "
                               f"{len(columns)} columns")
+    status = found["status"][-1][1] == "pass" if found["status"] else None
+    preamble = dict(_split_key(line) for _, line in found[None])
     return preamble, columns, rows, status

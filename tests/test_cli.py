@@ -621,16 +621,27 @@ def test_exit_codes_and_diagnostics(tmp_path, capsys):
     assert "cannot read" in err
 
 
-@pytest.mark.parametrize("values", [
-    ("Q(z_1) (1/0)",), ("Q(z_4) 1*z^7",), ("5 mod 0",), ("Q(z_4) 1*z^-1",),
-    ("Q(z_4) 1*z + 2*z",), ("Q(z_2003) 1",),
-    # each parses, but together they need conductor 1536
-    ("Q(z_512) 1*z", "Q(z_3) 1*z"),
-], ids=", ".join)
-def test_hostile_scalar_is_a_parse_error(tmp_path, capsys, values):
-    """The values replace the first entries; the last one is refused."""
-    lines = formats.format_tensor(
-        twist_from_1cocycle(v4_cocycles()[1]).J).splitlines()
+@pytest.mark.parametrize("group, values", [
+    pytest.param(None, values, id=", ".join(values)) for values in [
+        ("Q(z_1) (1/0)",), ("Q(z_4) 1*z^7",), ("5 mod 0",),
+        ("Q(z_4) 1*z^-1",), ("Q(z_4) 1*z + 2*z",), ("Q(z_2003) 1",),
+        # each parses, but together they need conductor 1536
+        ("Q(z_512) 1*z", "Q(z_3) 1*z"),
+    ]] + [
+    # parses alone, but inverting on the C3 support also needs zeta_3
+    pytest.param(make_cyclic(3), ("Q(z_1) 1", "Q(z_512) 1*z"),
+                 id="C3: Q(z_1) 1, Q(z_512) 1*z"),
+])
+def test_hostile_scalar_is_a_parse_error(tmp_path, capsys, group, values):
+    """The values replace the first entries of a twist on C2xC2, or of
+    1 (x) 1 + g (x) 1 on `group`; the last one is refused."""
+    if group is None:
+        J = twist_from_1cocycle(v4_cocycles()[1]).J
+    else:
+        Q = CyclotomicField()
+        J = TensorElement(group, 2, Q, {(0, 0): Q.from_int(1),
+                                        (1, 0): Q.from_int(1)})
+    lines = formats.format_tensor(J).splitlines()
     entries = [i for i, l in enumerate(lines) if l.startswith("entry")]
     for entry_at, value in zip(entries, values):
         key, _ = lines[entry_at].split(" : ")
