@@ -2,14 +2,15 @@
 projective representations, and check reports.
 
 Every document starts with the line `twistlab <kind> v1`.  Bodies consist
-of keyword lines; blank lines and lines starting with `#` are skipped.
+of keyword lines; blank lines and lines starting with `#` are skipped.  One
+scanner checks the header and groups the body lines by key; each parser
+then validates what it collected.
 Scalars use the exact string forms of the scalars module, so documents
 never contain floating point.  Writers emit keys in a fixed order and
 entries in sorted index order: equal values produce identical bytes.
 """
 
 from bisect import bisect
-from itertools import takewhile
 from math import lcm
 
 from .scalars import (MAX_CONDUCTOR, Cyc, Fp, ScalarError, make_field,
@@ -36,10 +37,12 @@ class FormatError(ValueError):
 # line scanning
 
 def _body(text):
-    items = [(lineno, line.strip())
-             for lineno, line in enumerate(text.splitlines(), start=1)]
-    items = [(lineno, line) for lineno, line in items
-             if line and not line.startswith("#")]
+    items = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        items.append((lineno, line))
     if not items:
         raise FormatError("empty document")
     return items
@@ -64,13 +67,16 @@ def _split_key(line):
     return parts[0], parts[1]
 
 
-def _collect(items, keys, where=None):
+def _collect(items, keys, where=None, stop=None):
     """The (lineno, rest) of each body line `key rest` in `items`, grouped by
-    key in document order.  A key outside `keys` is unexpected in `where`;
-    with no `where` its whole lines are kept under None instead."""
+    key in document order, up to a line whose key is `stop`.  A key outside
+    `keys` is unexpected in `where`; with no `where` its whole lines are
+    kept under None instead."""
     found = {key: [] for key in (*keys, None)}
     for lineno, line in items:
         key, rest = _split_key(line)
+        if key == stop:
+            break
         if key in found:
             found[key].append((lineno, rest))
         elif where is None:
@@ -93,8 +99,7 @@ def _scan(text, kind, keys, where=None, listing=False):
         if header != f"twistlab {kind} {FORMAT_VERSION}":
             raise FormatError(f"expected a {kind} document header, "
                               f"found {header!r}", lineno)
-        return _collect(takewhile(
-            lambda item: _split_key(item[1])[0] != "summary", body), keys)
+        return _collect(body, keys, stop="summary")
     found = _kind(lineno, header)
     if found != kind:
         raise FormatError(f"expected a {kind} document, found {found!r}",

@@ -359,40 +359,20 @@ class Cyc:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse via extended Euclid against Phi_n."""
+        """Multiplicative inverse: the product of the other Galois conjugates
+        over the norm N(x) = x * prod_{c != 1} sigma_c(x), a nonzero
+        rational for nonzero x."""
         if not any(self.num):
             raise ZeroDivisionError("inverting zero scalar")
-        ctx = _ctx(self.n)
-        if ctx.phi == 1:
+        if len(self.num) == 1:
             return Cyc(self.n, (self.den,), self.num[0])
-        a = [Fraction(c, self.den) for c in self.num]
-        b = [Fraction(c) for c in ctx.minpoly]
-        # invariant: s*self + t*Phi = r  (t never needed)
-        r0, s0 = b, [Fraction(0)]
-        r1, s1 = a, [Fraction(1)]
-        while True:
-            d1 = _poly_deg(r1)
-            if d1 < 0:
-                raise ScalarError("scalar is a zero divisor (not a unit)")
-            if d1 == 0:
-                inv = [s / r1[0] for s in s1]
-                break
-            q, r = _poly_divmod_frac(r0, r1)
-            r0, r1 = r1, r
-            s_new = _poly_sub(s0, _poly_mul(q, s1))
-            s0, s1 = s1, s_new
-        # reduce mod Phi and clear denominators
-        red = [Fraction(0)] * ctx.phi
-        for j, c in enumerate(inv):
-            if c:
-                row = ctx.rows[j]
-                for i in range(ctx.phi):
-                    red[i] += c * row[i]
-        den = 1
-        for c in red:
-            den = lcm(den, c.denominator)
-        num = tuple(int(c * den) for c in red)
-        return Cyc(self.n, num, den)
+        rest = Cyc.from_int(1, self.n)
+        for c in range(2, self.n):
+            if gcd(c, self.n) == 1:
+                rest = rest * self.galois(c)
+        norm = self * rest
+        return Cyc(self.n, tuple(c * norm.den for c in rest.num),
+                   rest.den * norm.num[0])
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -466,44 +446,6 @@ class Cyc:
 
     def __repr__(self):
         return f"Cyc({self!s})"
-
-
-def _poly_deg(p):
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            return i
-    return -1
-
-
-def _poly_divmod_frac(a, b):
-    a = list(a)
-    db = _poly_deg(b)
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    for i in range(len(a) - 1, db - 1, -1):
-        if a[i]:
-            f = a[i] / b[db]
-            q[i - db] = f
-            for j in range(db + 1):
-                a[i - db + j] -= f * b[j]
-    return q, a[:db] if db > 0 else [Fraction(0)]
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -432,6 +432,29 @@ def test_listing_summary_is_free_text():
         {"order": "4"}, ["name", "u"], [["C4", "0"], ["C2xC2", "0,1"]], True)
 
 
+def test_report_witness_belongs_to_the_check_above():
+    doc = edit(REPORT_DOC, "check pass a", "check fail a\nwitness first")
+    assert formats.parse_report(doc)[1] == [
+        ("a", False, "first"), ("b", False, "w")]
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (formats.parse_tensor, edit(TENSOR_DOC, "group name C2", "group"),
+     "line 4: unexpected key '' in group block"),
+    (formats.parse_rep, edit(REP_DOC, "group name C2", "group"),
+     "line 4: unexpected key '' in group block"),
+    (formats.parse_cocycles, edit(COCYCLE_DOC, "G factors 2", "G"),
+     "line 2: unexpected key 'G '"),
+    (formats.parse_report, edit(REPORT_DOC, "check pass a", "check"),
+     "line 4: check verdict must be pass or fail, found ''"),
+], ids=["tensor", "rep", "cocycle", "report"])
+def test_bare_key_is_a_parse_error(parse, text, message):
+    """A key with nothing after it is a FormatError, not an IndexError."""
+    with pytest.raises(FormatError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # command line flows
 

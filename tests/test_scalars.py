@@ -68,6 +68,20 @@ def test_field_axioms_randomized():
             assert a * a.inverse() == one
 
 
+def test_inverse_at_larger_conductors():
+    rng = random.Random(11)
+    one = Cyc.from_int(1)
+    for n in (16, 24, 120):
+        for _ in range(5):
+            a = _random_cyc(rng, n)
+            if a:
+                assert a * a.inverse() == one
+    # dense: every one of the 128 coefficients is nonzero
+    a = Cyc(256, tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(128)),
+            7)
+    assert a * a.inverse() == one
+
+
 def test_roots_of_unity():
     i = Cyc.root_of_unity(4)
     assert i * i == Cyc.from_int(-1)
