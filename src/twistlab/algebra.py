@@ -471,9 +471,6 @@ class TensorElement:
         v = self.coeffs.get(tuple(key))
         return v if v is not None else self.field.zero()
 
-    def support(self):
-        return set(self.coeffs)
-
     def __bool__(self):
         return bool(self.coeffs)
 

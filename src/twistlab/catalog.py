@@ -32,9 +32,8 @@ from .groups import (PairingChar, abelian_group, action_from_generator_images,
                      trivial_action)
 from .algebra import (AbelianCharacters, TensorElement, abelian_basis,
                       mat_rank, regular_trace)
-from .twists import (CheckReport, check_triangular, drinfeld_element,
-                     leg_span_rank, r_matrix, r_u, twisted_antipode,
-                     verify_minimal, verify_twist)
+from .twists import (CheckReport, Twist, check_triangular, drinfeld_element,
+                     leg_span_rank, r_matrix, r_u, twisted_antipode)
 from .movshev import (certify_simple, count_grouplikes, dual_movshev,
                       regular_character_report)
 from .constructions import (ProjectiveRep, cocycle_of_rep, is_nondegenerate,
@@ -255,12 +254,21 @@ class AbelianTwistTable:
 def embed_twist(twist, G, embedding):
     """Push a twist on a subgroup into the ambient group algebra.
 
-    embedding lists the ambient index of each subgroup element; the image
-    is re-verified from scratch over k[G].
+    embedding lists the ambient index of each subgroup element.  As it is
+    checked to be an injective homomorphism, pushing along it is a Hopf
+    algebra map, which carries J^{-1} to the inverse of the image twist.
     """
-    emb = list(embedding)
-    coeffs = {(emb[a], emb[b]): v for (a, b), v in twist.J.coeffs.items()}
-    return verify_twist(TensorElement(G, 2, twist.field, coeffs, prune=False))
+    H, emb = twist.group, list(embedding)
+    if len(emb) != H.order or len(set(emb) & set(range(G.order))) != H.order:
+        raise CatalogError(f"{emb} is not injective into {G.name}")
+    if any(G.table[emb[a]][emb[b]] != emb[c] for a, row in enumerate(H.table)
+           for b, c in enumerate(row)):
+        raise CatalogError(f"{emb} is not a group homomorphism")
+
+    def push(t):
+        coeffs = {(emb[a], emb[b]): v for (a, b), v in t.coeffs.items()}
+        return TensorElement(G, 2, t.field, coeffs, prune=False)
+    return Twist(push(twist.J), push(twist.j_inv))
 
 
 class Quadruple:
@@ -366,14 +374,16 @@ class TriangularHopfDatum:
 
 
 def _minimal_agreement(G, r, members, u):
-    """Leg-span minimality of R against <H, u> = G; must agree."""
+    """(minimal, leg span rank of R, <H, u>); raises unless the legs of R
+    span k[G] exactly when <H, u> = G."""
     gen = G.subgroup_generated(list(members) + [u])
-    span_min = verify_minimal(G, r)
+    rank = leg_span_rank(G, r)
+    span_min = rank == G.order
     if span_min != (len(gen) == G.order):
         raise CatalogError(
             f"minimality criteria disagree on {G.name}: leg span says "
             f"{span_min} but <H, u> has order {len(gen)}")
-    return span_min, gen
+    return span_min, rank, gen
 
 
 def is_minimal_datum(datum):
@@ -383,7 +393,7 @@ def is_minimal_datum(datum):
     disagreement between the two criteria raises CatalogError.
     """
     q = datum.quadruple
-    minimal, _ = _minimal_agreement(q.G, datum.r, q.members, q.u)
+    minimal, _, _ = _minimal_agreement(q.G, datum.r, q.members, q.u)
     return minimal
 
 
@@ -391,11 +401,11 @@ def realize_quadruple(q, seed=0):
     """Build and certify the triangular structure attached to a quadruple.
 
     The twist of V is built on k[H] and certified there (simple dual
-    algebra, regular character of the translation action), embedded into
-    k[G] and re-verified, then completed to R = J21^{-1} J R_u.  The
-    returned datum carries the Drinfeld element together with boolean
-    certificates and integer invariants.  Raises CatalogError when the
-    two minimality criteria disagree.
+    algebra, regular character of the translation action), pushed into
+    k[G] together with its inverse (embed_twist), then completed to
+    R = J21^{-1} J R_u.  The returned datum carries the Drinfeld element
+    together with boolean certificates and integer invariants.  Raises
+    CatalogError when the two minimality criteria disagree.
     """
     field = q.V.field
     G = q.G
@@ -415,7 +425,7 @@ def realize_quadruple(q, seed=0):
     u_ok = u_el == TensorElement.basis(G, (q.u,), field)
     expected = G.order if q.u == G.identity else 0
     trace_ok = regular_trace(u_el) == field.from_int(expected)
-    minimal, gen = _minimal_agreement(G, r, q.members, q.u)
+    minimal, leg_rank, gen = _minimal_agreement(G, r, q.members, q.u)
     solvable = G.subgroup(gen).is_solvable()
     reports = {"simple": simple, "regular character": characters,
                "triangular": triangular}
@@ -428,7 +438,7 @@ def realize_quadruple(q, seed=0):
         "minimal": minimal,
         "solvable": solvable,
         "center dimension": M.algebra.center_dimension(),
-        "leg rank": leg_span_rank(G, r),
+        "leg rank": leg_rank,
         "grouplikes": count_grouplikes(twist),
         "minimal part order": len(gen),
     }

@@ -56,11 +56,6 @@ def _kind(lineno, header):
     return parts[1]
 
 
-def document_kind(text):
-    """The <kind> of the header line, for dispatch diagnostics."""
-    return _kind(*_body(text)[0])
-
-
 def _split_key(line):
     """(first word, the rest); both are empty for an empty line."""
     parts = line.split(None, 1) + ["", ""]
@@ -142,23 +137,44 @@ def _indexed(lines, key):
         yield lineno, _ints(left, lineno, f"{key} index"), right
 
 
+def _put(entries, index, value, lineno, what):
+    """entries[index] = (value, lineno); a repeated index is refused."""
+    if index in entries:
+        raise FormatError(f"duplicate {what} {index}", lineno)
+    entries[index] = (value, lineno)
+
+
 def _labels(lines):
-    """{index: text} of `label i text` lines."""
+    """{index: (text, lineno)} of `label i text` lines."""
     labels = {}
     for lineno, rest in lines:
         parts = rest.split(None, 1)
         if len(parts) != 2:
             raise FormatError("label line needs an index and a text", lineno)
-        labels[_int(parts[0], lineno, "label index")] = parts[1]
+        _put(labels, _int(parts[0], lineno, "label index"), parts[1], lineno,
+             "label")
     return labels
 
 
-def _in_order(entries, count, missing):
-    """[entries[0], ..., entries[count - 1]]; `missing` names a gap."""
+def _in_order(entries, count, where, what):
+    """The values of _put's entries 0..count - 1; an index outside that
+    range and a gap are refused."""
+    for i, (_, lineno) in entries.items():
+        if not 0 <= i < count:
+            raise FormatError(f"{what} index {i} is outside 0..{count - 1}",
+                              lineno)
     for i in range(count):
         if i not in entries:
-            raise FormatError(f"{missing} {i}")
-    return [entries[i] for i in range(count)]
+            raise FormatError(f"{where} is missing {what} {i}")
+    return [entries[i][0] for i in range(count)]
+
+
+def _cyclic(factors, lineno, name=None):
+    """The abelian group of a `factors` line."""
+    try:
+        return abelian_group(factors, name=name)
+    except GroupError as exc:
+        raise FormatError(f"bad cyclic factors {factors}: {exc}", lineno)
 
 
 def field_spec_string(spec):
@@ -245,45 +261,38 @@ def _group(found):
     name = found["name"][-1][1] if found["name"] else "G"
     order = _last(found["order"],
                   lambda rest, lineno: _int(rest, lineno, "order"))
-    factors = _last(found["factors"],
-                    lambda rest, lineno: _ints(rest, lineno, "factor"))
+    factors = _last(found["factors"], lambda rest, lineno: (
+        _ints(rest, lineno, "factor"), lineno))
     labels, rows = _labels(found["label"]), {}
     for lineno, rest in found["row"]:
         toks = rest.split()
         if not toks:
             raise FormatError("row line needs an index and entries", lineno)
-        rows[_int(toks[0], lineno, "row index")] = (
-            [_int(t, lineno, "table entry") for t in toks[1:]], lineno)
+        _put(rows, _int(toks[0], lineno, "row index"),
+             [_int(t, lineno, "table entry") for t in toks[1:]], lineno, "row")
     if order is None:
         raise FormatError("group block is missing an order line")
     if factors is not None:
-        try:
-            g = abelian_group(factors, name=name)
-        except GroupError as exc:
-            raise FormatError(f"bad cyclic factors {factors}: {exc}")
+        g = _cyclic(*factors, name=name)
         if g.order != order:
             raise FormatError(
-                f"factors {factors} give order {g.order}, not {order}")
-        for i, (row, lineno) in rows.items():
-            if i >= order or row != g.table[i]:
-                raise FormatError(
-                    f"table row {i} does not match the declared factors",
-                    lineno)
-        for i, lab in labels.items():
-            if i >= order or lab != g.labels[i]:
-                raise FormatError(f"label {i} does not match the declared "
-                                  f"factors")
+                f"factors {factors[0]} give order {g.order}, not {order}")
+        for entries, what, want in ((rows, "table row", g.table),
+                                    (labels, "label", g.labels)):
+            for i, (got, lineno) in entries.items():
+                if not 0 <= i < order or got != want[i]:
+                    raise FormatError(f"{what} {i} does not match the "
+                                      f"declared factors", lineno)
         return g
-    table = _in_order(rows, order, "group block is missing row")
-    for i, (row, lineno) in enumerate(table):
+    table = _in_order(rows, order, "group block", "row")
+    for i, row in enumerate(table):
         if len(row) != order:
             raise FormatError(
-                f"row {i} has {len(row)} entries, expected {order}", lineno)
-    label_list = (_in_order(labels, order, "group block is missing label")
+                f"row {i} has {len(row)} entries, expected {order}", rows[i][1])
+    label_list = (_in_order(labels, order, "group block", "label")
                   if labels else None)
     try:
-        return FiniteGroup([row for row, _ in table], labels=label_list,
-                           name=name)
+        return FiniteGroup(table, labels=label_list, name=name)
     except GroupError as exc:
         raise FormatError(f"invalid group table: {exc}")
 
@@ -383,45 +392,43 @@ def format_action(action):
 _ACTION_KEYS = ("G", "A", "perm")
 
 
-def _side_factors(side, lines):
-    """The cyclic factors of the last `<side> factors ...` line."""
+def _side_group(side, lines, requested):
+    """The group of the last `<side> factors ...` line, or None without one;
+    it must match `requested` when one is given."""
     def read(rest, lineno):
         sub, rest = _split_key(rest)
         if sub != "factors":
             raise FormatError(f"unexpected key '{side} {sub}'", lineno)
-        return _ints(rest, lineno, "factor")
+        factors = _ints(rest, lineno, "factor")
+        group = _cyclic(factors, lineno)
+        if requested is None:
+            return group
+        if not isinstance(requested, AbelianGroup) or \
+                requested.factors != group.factors:
+            raise FormatError(f"document {side} factors {tuple(factors)} do "
+                              f"not match the requested group", lineno)
+        return requested
     return _last(lines, read)
 
 
 def _action(found, G=None, A=None):
     """The action of a document's lines, collected under _ACTION_KEYS."""
-    g_factors = _side_factors("G", found["G"])
-    a_factors = _side_factors("A", found["A"])
+    G = _side_group("G", found["G"], G)
+    A = _side_group("A", found["A"], A)
     perms = {}
     for lineno, rest in found["perm"]:
         left, right = _colon_split(rest, lineno, "perm")
-        perms[_int(left, lineno, "perm index")] = (
-            _ints(right, lineno, "perm entry"), lineno)
-    if g_factors is None or a_factors is None:
+        _put(perms, _int(left, lineno, "perm index"),
+             _ints(right, lineno, "perm entry"), lineno, "perm")
+    if G is None or A is None:
         raise FormatError("action document needs 'G factors' and 'A factors'")
-    gf, af = tuple(g_factors), tuple(a_factors)
-    if G is None:
-        G = abelian_group(gf)
-    elif not isinstance(G, AbelianGroup) or G.factors != AbelianGroup(gf).factors:
-        raise FormatError(f"document G factors {gf} do not match the "
-                          f"requested group")
-    if A is None:
-        A = abelian_group(af)
-    elif not isinstance(A, AbelianGroup) or A.factors != AbelianGroup(af).factors:
-        raise FormatError(f"document A factors {af} do not match the "
-                          f"requested group")
-    perm_list = _in_order(perms, G.order, "action document is missing perm")
-    for g, (p, lineno) in enumerate(perm_list):
+    perm_list = _in_order(perms, G.order, "action document", "perm")
+    for g, p in enumerate(perm_list):
         if sorted(p) != list(range(A.order)):
-            raise FormatError(
-                f"perm {g} is not a permutation of 0..{A.order - 1}", lineno)
+            raise FormatError(f"perm {g} is not a permutation of "
+                              f"0..{A.order - 1}", perms[g][1])
     try:
-        return GroupAction(G, A, [p for p, _ in perm_list])
+        return GroupAction(G, A, perm_list)
     except GroupError as exc:
         raise FormatError(f"invalid action: {exc}")
 
@@ -493,7 +500,7 @@ def parse_rep(text):
     group = _embedded_group(found["group"])
     zero = field.zero()
     mats = [[[zero] * dim for _ in range(dim)] for _ in range(group.order)]
-    bind = _scalar_binder(field)
+    bind, seen = _scalar_binder(field), {}
     for lineno, idx, right in _indexed(found["mat"], "mat"):
         if len(idx) != 3:
             raise FormatError("mat line needs element, row and column indices",
@@ -502,6 +509,7 @@ def parse_rep(text):
         if not (0 <= h < group.order and 0 <= i < dim and 0 <= j < dim):
             raise FormatError(f"mat index ({h}, {i}, {j}) is out of range",
                               lineno)
+        _put(seen, (h, i, j), None, lineno, "mat entry at")
         mats[h][i][j] = bind(right, lineno)
     try:
         return ProjectiveRep(group, mats, field)
@@ -537,7 +545,7 @@ def parse_algebra(text):
     labels, unit = _labels(found["label"]), {}
     for lineno, rest in found["unit"]:
         left, right = _colon_split(rest, lineno, "unit")
-        unit[_int(left, lineno, "unit index")] = (right, lineno)
+        _put(unit, _int(left, lineno, "unit index"), right, lineno, "unit")
     m = [[{} for _ in range(dim)] for _ in range(dim)]
     bind = _scalar_binder(field)
     for lineno, idx, right in _indexed(found["sc"], "sc"):
@@ -552,7 +560,7 @@ def parse_algebra(text):
         if not 0 <= k < dim:
             raise FormatError(f"unit index {k} is out of range", lineno)
         unit_vec[k] = bind(right, lineno)
-    label_list = (_in_order(labels, dim, "algebra document is missing label")
+    label_list = (_in_order(labels, dim, "algebra document", "label")
                   if labels else None)
     try:
         return StructureConstantAlgebra(m, unit_vec, field, labels=label_list)

@@ -5,7 +5,9 @@ A twist is an invertible J in k[H] (x) k[H] satisfying the cocycle identity
 (eps (x) I)(J) = (I (x) eps)(J) = 1.  Twisting replaces the coproduct by
 Delta_J(x) = J^{-1} Delta(x) J and turns J_21^{-1} J into a triangular
 R-matrix.  Every checker here decides exact equalities and reports the first
-differing coefficient on failure.
+differing coefficient on failure.  What an identity proves is not checked
+again: a gauge transform carries its inverse in closed form, and R_21 R = 1
+and u^2 = 1 certify that R and u are invertible.
 """
 from __future__ import annotations
 
@@ -81,14 +83,10 @@ class GroupAlgebraMap:
         self.field = field
         self.images = images
 
-    def __eq__(self, other):
-        if not isinstance(other, GroupAlgebraMap):
-            return NotImplemented
-        return self.group is other.group and self.images == other.images
-
 
 class Twist:
-    """A verified twist; construct through verify_twist."""
+    """A twist with its inverse: from verify_twist, or carried from one by
+    gauge_transform or catalog.embed_twist."""
 
     __slots__ = ("group", "field", "J", "j_inv", "_delta_cache", "_abelian")
 
@@ -151,10 +149,11 @@ def identity_twist(group, field):
 
 
 def gauge_transform(twist, x):
-    """The twist J^x = Delta(x) J (x^{-1} (x) x^{-1}), verified.
+    """The twist J^x = Delta(x) J (x^{-1} (x) x^{-1}) with its inverse.
 
     x is rescaled so that eps(x) = 1; without that normalization J^x fails
-    the counit identities.
+    the counit identities.  With it J^x is a twist, as Delta is an algebra
+    map, and (x (x) x) J^{-1} Delta(x^{-1}) is its inverse.
     """
     if x.rank != 1:
         raise TwistError("gauge element must be rank 1")
@@ -167,7 +166,7 @@ def gauge_transform(twist, x):
     except AlgebraError as exc:
         raise TwistError(f"gauge element is not invertible: {exc}")
     Jx = hopf_coproduct(x) * twist.J * x_inv.outer(x_inv)
-    return verify_twist(Jx)
+    return Twist(Jx, x.outer(x) * twist.j_inv * hopf_coproduct(x_inv))
 
 
 def r_matrix(twist, base=None):
@@ -245,24 +244,12 @@ def drinfeld_element(r, antipode, coproduct=None):
     """u = sum S'(b_i) a_i for R = sum a_i (x) b_i, with its certificates.
 
     antipode is the GroupAlgebraMap S', as twisted_antipode returns it.
-    Checks: u invertible, u central, u^2 = e, and (when a coproduct is
-    supplied, as a map from basis index to rank-2 tensor) u grouplike for
-    it.  Any failure raises.
+    Checks: u central, u^2 = e, which makes u its own inverse, and (when a
+    coproduct is supplied, as a map from basis index to rank-2 tensor) u
+    grouplike for it.  Any failure raises.
     """
     group, field = r.group, r.field
-    table = group.table
-    out = {}
-    for (a, b), v in r.coeffs.items():
-        for (h,), w in antipode.images[b].coeffs.items():
-            key = (table[h][a],)
-            vw = v * w
-            cur = out.get(key)
-            out[key] = vw if cur is None else cur + vw
-    u = TensorElement(group, 1, field, out)
-    try:
-        algebra_invert(u)
-    except AlgebraError as exc:
-        raise TwistError(f"drinfeld element is not invertible: {exc}")
+    u = _fold_map(r.swap(), antipode, 0)
     for g in range(group.order):
         gb = TensorElement.basis(group, (g,), field)
         if u * gb != gb * u:
@@ -301,17 +288,20 @@ def check_triangular(group, coproduct, r):
 
     coproduct maps basis index g to a rank-2 tensor.  Checked exactly:
     invertibility, R Delta(x) = Delta_op(x) R on the basis, the two hexagon
-    identities, and R_21 R = 1 (x) 1.
+    identities, and R_21 R = 1 (x) 1, which makes R_21 the inverse of R; R
+    is inverted only when that fails.
     """
     field = r.field
     report = CheckReport(f"triangular structure over {group.name}")
+    unit2 = TensorElement.unit(group, 2, field)
+    unitarity = r.swap() * r
     try:
-        algebra_invert(r)
+        if unitarity != unit2:
+            algebra_invert(r)
         report.add("R invertible", True)
     except AlgebraError as exc:
         report.add("R invertible", False, str(exc))
-    unit2 = TensorElement.unit(group, 2, field)
-    report.add_equal("unitarity R_21 R = 1", r.swap() * r, unit2)
+    report.add_equal("unitarity R_21 R = 1", unitarity, unit2)
     deltas = [coproduct(g) for g in range(group.order)]
     comm_ok, comm_witness = True, ""
     for g in range(group.order):

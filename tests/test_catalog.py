@@ -6,7 +6,9 @@ import pytest
 from twistlab import algebra
 from twistlab.scalars import Cyc, CyclotomicField
 from twistlab.groups import abelian_group, isomorphisms, make_cyclic, symmetric
-from twistlab.twists import check_triangular, leg_span_rank, r_matrix
+from twistlab import twists
+from twistlab.twists import (check_triangular, check_twist, identity_twist,
+                             leg_span_rank, r_matrix)
 from twistlab.movshev import count_grouplikes, dual_movshev
 from twistlab.constructions import (cocycle_ambient_group,
                                     cocycle_twist_tensor, is_nondegenerate,
@@ -16,7 +18,8 @@ from twistlab.catalog import (AbelianTwistTable, CatalogError, Quadruple,
                               all_subgroups, alternating_bicharacters,
                               builtin_groups, char_p_mirror,
                               cocycle_relabeling, darboux_pairs,
-                              dual_automorphism_perm, enumerate_quadruples,
+                              dual_automorphism_perm, embed_twist,
+                              enumerate_quadruples,
                               finder_scan, is_minimal_datum, relabel_tensor,
                               rep_from_bicharacter, transport_isomorphism,
                               transport_twist_perm)
@@ -388,3 +391,34 @@ def test_realize_rejects_bad_characteristic():
     field = PrimeField(3, root_order=2)
     with pytest.raises(CatalogError):
         enumerate_quadruples(9, field=field)
+
+
+@pytest.mark.parametrize("order", [8, 9, 12])
+def test_carried_twists_match_the_from_scratch_oracle(order):
+    """The twist and inverse pushed by embed_twist, and the leg rank kept
+    from the minimality check, against check_twist, algebra_invert and
+    leg_span_rank run from scratch."""
+    for d in enumerate_quadruples(order):
+        G, J = d.quadruple.G, d.twist.J
+        report = check_twist(J)
+        assert report.ok, report.summary()
+        assert d.twist.j_inv == report.j_inv == algebra.algebra_invert(J)
+        assert d.certificates["leg rank"] == leg_span_rank(G, d.r)
+
+
+def test_embed_twist_refuses_bad_embeddings(monkeypatch):
+    field = CyclotomicField()
+    C2, C4 = make_cyclic(2), make_cyclic(4)
+    tw = identity_twist(C2, field)
+
+    def forbidden(J):
+        raise AssertionError("check_twist was called")
+    monkeypatch.setattr(twists, "check_twist", forbidden)
+    pushed = embed_twist(tw, C4, [0, 2])
+    assert pushed.J == pushed.j_inv == algebra.TensorElement.unit(C4, 2, field)
+    for emb, why in (([0, 0], "not injective"), ([0, 5], "not injective"),
+                     ([0], "not injective"),
+                     ([0, 1], "not a group homomorphism"),
+                     ([2, 0], "not a group homomorphism")):
+        with pytest.raises(CatalogError, match=why):
+            embed_twist(tw, C4, emb)

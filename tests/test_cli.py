@@ -225,6 +225,24 @@ PARSE_FAULTS = {
     "group-row-out-of-range": (
         formats.parse_group, edit(GROUP_DOC, "row 1", "row 5"),
         "line 8: table row 5 does not match the declared factors", 8),
+    "group-row-index-out-of-range": (
+        formats.parse_group, without(GROUP_DOC, "factors") + "row 7 1 1\n",
+        "line 8: row index 7 is outside 0..1", 8),
+    "group-duplicate-row": (
+        formats.parse_group, without(GROUP_DOC, "factors") + "row 1 1 0\n",
+        "line 8: duplicate row 1", 8),
+    "group-duplicate-label": (
+        formats.parse_group, GROUP_DOC + "label 1 b\n",
+        "line 9: duplicate label 1", 9),
+    "group-label-out-of-range": (
+        formats.parse_group, without(GROUP_DOC, "factors") + "label 2 b\n",
+        "line 8: label index 2 is outside 0..1", 8),
+    "group-label-against-factors": (
+        formats.parse_group, edit(GROUP_DOC, "label 1 1", "label 1 b"),
+        "line 6: label 1 does not match the declared factors", 6),
+    "group-bad-factors": (
+        formats.parse_group, edit(GROUP_DOC, "factors 2", "factors -2"),
+        "line 4: bad cyclic factors [-2]: cyclic factors must be positive", 4),
     "tensor-bad-header": (
         formats.parse_tensor, edit(TENSOR_DOC, "tensor v1", "tensor"),
         "line 1: expected a 'twistlab <kind> v1' header, found "
@@ -295,6 +313,15 @@ PARSE_FAULTS = {
     "action-perm-out-of-range": (
         formats.parse_action, edit(ACTION_DOC, "perm 1 : 0 1", "perm 1 : 0 2"),
         "line 5: perm 1 is not a permutation of 0..1", 5),
+    "action-bad-factors": (
+        formats.parse_action, edit(ACTION_DOC, "G factors 2", "G factors 0"),
+        "line 2: bad cyclic factors [0]: cyclic factors must be positive", 2),
+    "action-duplicate-perm": (
+        formats.parse_action, ACTION_DOC + "perm 1 : 1 0\n",
+        "line 6: duplicate perm 1", 6),
+    "action-perm-index-out-of-range": (
+        formats.parse_action, ACTION_DOC + "perm 2 : 0 1\n",
+        "line 6: perm index 2 is outside 0..1", 6),
     "cocycle-bad-header": (
         formats.parse_cocycles, edit(COCYCLE_DOC, "v1", "v1 extra"),
         "line 1: expected a 'twistlab <kind> v1' header, found "
@@ -336,6 +363,9 @@ PARSE_FAULTS = {
     "rep-index-out-of-range": (
         formats.parse_rep, edit(REP_DOC, "mat 1 0 0", "mat 1 0 1"),
         "line 12: mat index (1, 0, 1) is out of range", 12),
+    "rep-duplicate-mat": (
+        formats.parse_rep, REP_DOC + "mat 1 0 0 : Q(z_1) -1\n",
+        "line 13: duplicate mat entry at (1, 0, 0)", 13),
     "rep-bad-scalar": (
         formats.parse_rep, edit(REP_DOC, "Q(z_1) 1\nmat", "Q(z_4) 1*z^9\nmat"),
         "line 11: bad scalar 'Q(z_4) 1*z^9': exponent 9 is outside 0..1 in "
@@ -356,6 +386,12 @@ PARSE_FAULTS = {
     "algebra-missing-label": (
         formats.parse_algebra, without(ALGEBRA_DOC, "label 1"),
         "algebra document is missing label 1", None),
+    "algebra-duplicate-label": (
+        formats.parse_algebra, edit(ALGEBRA_DOC, "label 1 Y_1", "label 0 Y_1"),
+        "line 5: duplicate label 0", 5),
+    "algebra-duplicate-unit": (
+        formats.parse_algebra, edit(ALGEBRA_DOC, "unit 1", "unit 0"),
+        "line 7: duplicate unit 0", 7),
     "algebra-sc-out-of-range": (
         formats.parse_algebra, edit(ALGEBRA_DOC, "sc 1 1 1", "sc 1 1 2"),
         "line 9: sc indices [1, 1, 2] are out of range", 9),
@@ -615,6 +651,14 @@ def test_find_1cocycles_with_action_file(tmp_path, capsys):
                              "--A", "4", "--action", str(action_file))
     assert code == 2
     assert "do not match" in err
+
+    action_file.write_text(formats.format_action(action).replace(
+        "G factors 2 2", "G factors 0"))
+    code, out, err = run_cli(capsys, "find-1cocycles", "--G", "2,2",
+                             "--A", "4", "--action", str(action_file))
+    assert code == 2
+    assert err == ("parse error: line 2: bad cyclic factors [0]: cyclic "
+                   "factors must be positive\n")
 
 
 def test_exit_codes_and_diagnostics(tmp_path, capsys):

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from twistlab.scalars import CyclotomicField
-from twistlab.groups import make_cyclic, abelian_group, symmetric
+from twistlab import twists
+from twistlab.groups import make_cyclic, abelian_group, dihedral, symmetric
 from twistlab.algebra import (
     TensorElement, AlgebraError, algebra_invert, regular_trace,
 )
@@ -227,3 +228,73 @@ def test_first_difference_reports_witness():
     assert key == (1, 1)
     assert va == Q.zero() and vb == Q.one()
     assert first_difference(a, a) is None
+
+
+def forbid(monkeypatch, name):
+    """Make twists.<name> raise, so a test proves a path never calls it."""
+    def called(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    monkeypatch.setattr(twists, name, called)
+
+
+def count_inversions(monkeypatch):
+    calls = []
+
+    def counted(t, *args, **kwargs):
+        calls.append(t)
+        return algebra_invert(t, *args, **kwargs)
+    monkeypatch.setattr(twists, "algebra_invert", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make", [
+    lambda: verify_twist(klein_twist()[1]),
+    lambda: identity_twist(symmetric(3), Q),
+    lambda: identity_twist(dihedral(4), Q),
+], ids=["C2xC2", "S3", "D4"])
+def test_gauge_carries_a_twist_and_its_inverse(make, monkeypatch):
+    """J^x and (x (x) x) J^{-1} Delta(x^{-1}) against the from-scratch
+    oracle: check_twist on J^x and algebra_invert on it."""
+    t = make()
+    x = rand_invertible(random.Random(t.group.order), t.group)
+    with monkeypatch.context() as m:
+        forbid(m, "check_twist")
+        tx = gauge_transform(t, x)
+    report = check_twist(tx.J)
+    assert report.ok, report.summary()
+    assert tx.j_inv == report.j_inv == algebra_invert(tx.J)
+
+
+def test_unitary_r_matrix_is_not_inverted(monkeypatch):
+    """R_21 R = 1 (x) 1 proves R invertible and u^2 = 1 proves u is; the
+    report is the one that inverting R gives."""
+    H, J = klein_twist()
+    t = verify_twist(J)
+    r = r_matrix(t)
+    s = twisted_antipode(t)
+    calls = count_inversions(monkeypatch)
+    report = check_triangular(H, t.coproduct_basis, r)
+    u = drinfeld_element(r, s, t.coproduct_basis)
+    assert calls == []
+    assert report.ok and report.checks[0] == ("R invertible", True, "")
+    assert u == TensorElement.unit(H, 1, Q)
+
+
+def test_zero_divisor_r_matrix_is_still_inverted(monkeypatch):
+    """R = 1 (x) 1 + g (x) g fails unitarity, so R is inverted as before
+    and its report keeps the zero-divisor witness."""
+    G = make_cyclic(2)
+    coproduct, _ = plain_structure(G, Q)
+    r = TensorElement(G, 2, Q, {(0, 0): Q.one(), (1, 1): Q.one()})
+    calls = count_inversions(monkeypatch)
+    report = check_triangular(G, coproduct, r)
+    assert calls == [r]
+    assert report.checks == [
+        ("R invertible", False, "element is a zero divisor (not invertible)"),
+        ("unitarity R_21 R = 1", False, "at (0, 0): Q(z_1) 2 != Q(z_1) 1"),
+        ("R-commutation with coproduct", True, ""),
+        ("hexagon (Delta (x) I)R = R13 R23", False,
+         "at (0, 1, 1): Q(z_1) 0 != Q(z_1) 1"),
+        ("hexagon (I (x) Delta)R = R13 R12", False,
+         "at (0, 1, 1): Q(z_1) 0 != Q(z_1) 1"),
+    ]
