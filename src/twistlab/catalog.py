@@ -374,8 +374,7 @@ class TriangularHopfDatum:
 
 
 def _minimal_agreement(G, r, members, u):
-    """(minimal, leg span rank of R, <H, u>); raises unless the legs of R
-    span k[G] exactly when <H, u> = G."""
+    """(minimal, leg span rank of R, <H, u>); the two criteria must agree."""
     gen = G.subgroup_generated(list(members) + [u])
     rank = leg_span_rank(G, r)
     span_min = rank == G.order

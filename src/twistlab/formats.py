@@ -138,10 +138,10 @@ def _indexed(lines, key):
 
 
 def _put(entries, index, value, lineno, what):
-    """entries[index] = (value, lineno); a repeated index is refused."""
+    """entries[index] = value; a repeated index is refused."""
     if index in entries:
         raise FormatError(f"duplicate {what} {index}", lineno)
-    entries[index] = (value, lineno)
+    entries[index] = value
 
 
 def _labels(lines):
@@ -151,14 +151,14 @@ def _labels(lines):
         parts = rest.split(None, 1)
         if len(parts) != 2:
             raise FormatError("label line needs an index and a text", lineno)
-        _put(labels, _int(parts[0], lineno, "label index"), parts[1], lineno,
-             "label")
+        _put(labels, _int(parts[0], lineno, "label index"),
+             (parts[1], lineno), lineno, "label")
     return labels
 
 
 def _in_order(entries, count, where, what):
-    """The values of _put's entries 0..count - 1; an index outside that
-    range and a gap are refused."""
+    """The values of {index: (value, lineno)} entries 0..count - 1; an
+    index outside that range and a gap are refused."""
     for i, (_, lineno) in entries.items():
         if not 0 <= i < count:
             raise FormatError(f"{what} index {i} is outside 0..{count - 1}",
@@ -269,7 +269,8 @@ def _group(found):
         if not toks:
             raise FormatError("row line needs an index and entries", lineno)
         _put(rows, _int(toks[0], lineno, "row index"),
-             [_int(t, lineno, "table entry") for t in toks[1:]], lineno, "row")
+             ([_int(t, lineno, "table entry") for t in toks[1:]], lineno),
+             lineno, "row")
     if order is None:
         raise FormatError("group block is missing an order line")
     if factors is not None:
@@ -364,9 +365,7 @@ def parse_tensor(text, group=None):
                 raise FormatError(
                     f"entry index {i} is out of range for order {g.order}",
                     lineno)
-        if idx in coeffs:
-            raise FormatError(f"duplicate entry at {idx}", lineno)
-        coeffs[idx] = bind(right, lineno)
+        _put(coeffs, idx, bind(right, lineno), lineno, "entry at")
     return TensorElement(g, rank, field, coeffs)
 
 
@@ -399,16 +398,19 @@ def _side_group(side, lines, requested):
         sub, rest = _split_key(rest)
         if sub != "factors":
             raise FormatError(f"unexpected key '{side} {sub}'", lineno)
-        factors = _ints(rest, lineno, "factor")
-        group = _cyclic(factors, lineno)
-        if requested is None:
-            return group
-        if not isinstance(requested, AbelianGroup) or \
-                requested.factors != group.factors:
-            raise FormatError(f"document {side} factors {tuple(factors)} do "
-                              f"not match the requested group", lineno)
-        return requested
-    return _last(lines, read)
+        return _ints(rest, lineno, "factor"), lineno
+    last = _last(lines, read)
+    if last is None:
+        return None
+    factors, lineno = last
+    group = _cyclic(factors, lineno)
+    if requested is None:
+        return group
+    if not isinstance(requested, AbelianGroup) or \
+            requested.factors != group.factors:
+        raise FormatError(f"document {side} factors {tuple(factors)} do "
+                          f"not match the requested group", lineno)
+    return requested
 
 
 def _action(found, G=None, A=None):
@@ -419,7 +421,7 @@ def _action(found, G=None, A=None):
     for lineno, rest in found["perm"]:
         left, right = _colon_split(rest, lineno, "perm")
         _put(perms, _int(left, lineno, "perm index"),
-             _ints(right, lineno, "perm entry"), lineno, "perm")
+             (_ints(right, lineno, "perm entry"), lineno), lineno, "perm")
     if G is None or A is None:
         raise FormatError("action document needs 'G factors' and 'A factors'")
     perm_list = _in_order(perms, G.order, "action document", "perm")
@@ -498,9 +500,7 @@ def parse_rep(text):
     if not found["group"]:
         raise FormatError("rep document is missing its group block")
     group = _embedded_group(found["group"])
-    zero = field.zero()
-    mats = [[[zero] * dim for _ in range(dim)] for _ in range(group.order)]
-    bind, seen = _scalar_binder(field), {}
+    bind, entries = _scalar_binder(field), {}
     for lineno, idx, right in _indexed(found["mat"], "mat"):
         if len(idx) != 3:
             raise FormatError("mat line needs element, row and column indices",
@@ -509,8 +509,10 @@ def parse_rep(text):
         if not (0 <= h < group.order and 0 <= i < dim and 0 <= j < dim):
             raise FormatError(f"mat index ({h}, {i}, {j}) is out of range",
                               lineno)
-        _put(seen, (h, i, j), None, lineno, "mat entry at")
-        mats[h][i][j] = bind(right, lineno)
+        _put(entries, (h, i, j), bind(right, lineno), lineno, "mat entry at")
+    zero = field.zero()
+    mats = [[[entries.get((h, i, j), zero) for j in range(dim)]
+             for i in range(dim)] for h in range(group.order)]
     try:
         return ProjectiveRep(group, mats, field)
     except ConstructionError as exc:
@@ -545,16 +547,16 @@ def parse_algebra(text):
     labels, unit = _labels(found["label"]), {}
     for lineno, rest in found["unit"]:
         left, right = _colon_split(rest, lineno, "unit")
-        _put(unit, _int(left, lineno, "unit index"), right, lineno, "unit")
-    m = [[{} for _ in range(dim)] for _ in range(dim)]
-    bind = _scalar_binder(field)
+        _put(unit, _int(left, lineno, "unit index"), (right, lineno), lineno,
+             "unit")
+    bind, sc = _scalar_binder(field), {}
     for lineno, idx, right in _indexed(found["sc"], "sc"):
         if len(idx) != 3 or not all(0 <= x < dim for x in idx):
             raise FormatError(f"sc indices {idx} are out of range", lineno)
-        i, j, k = idx
-        if k in m[i][j]:
-            raise FormatError(f"duplicate sc entry at {tuple(idx)}", lineno)
-        m[i][j][k] = bind(right, lineno)
+        _put(sc, tuple(idx), bind(right, lineno), lineno, "sc entry at")
+    m = [[{} for _ in range(dim)] for _ in range(dim)]
+    for (i, j, k), value in sc.items():
+        m[i][j][k] = value
     unit_vec = {}
     for k, (right, lineno) in unit.items():
         if not 0 <= k < dim:

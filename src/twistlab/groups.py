@@ -267,6 +267,10 @@ class AbelianGroup(FiniteGroup):
             ds = [d for d in ds if d > 1]
         return tuple(sorted(ds))
 
+    def dual_group(self):
+        """The character group, canonically the same cyclic factor list."""
+        return AbelianGroup(self.factors, name=self.name + "^")
+
 
 def make_cyclic(n):
     return AbelianGroup((n,), name=f"C{n}")

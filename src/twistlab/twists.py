@@ -83,10 +83,14 @@ class GroupAlgebraMap:
         self.field = field
         self.images = images
 
+    def __eq__(self, other):
+        if not isinstance(other, GroupAlgebraMap):
+            return NotImplemented
+        return self.group is other.group and self.images == other.images
+
 
 class Twist:
-    """A twist with its inverse: from verify_twist, or carried from one by
-    gauge_transform or catalog.embed_twist."""
+    """A twist with its inverse (verify_twist, gauge_transform, embed_twist)."""
 
     __slots__ = ("group", "field", "J", "j_inv", "_delta_cache", "_abelian")
 
@@ -189,13 +193,10 @@ def twisted_coproduct(twist, x):
 
 def coassociativity_ok(twist):
     """Exact coassociativity of Delta_J on every basis element."""
-    for g in range(twist.group.order):
-        d = twist.coproduct_basis(g)
-        lhs = _delta_on_leg(twist.coproduct_basis, d, 0)
-        rhs = _delta_on_leg(twist.coproduct_basis, d, 1)
-        if lhs != rhs:
-            return False
-    return True
+    delta = twist.coproduct_basis
+    return all(_delta_on_leg(delta, delta(g), 0) ==
+               _delta_on_leg(delta, delta(g), 1)
+               for g in range(twist.group.order))
 
 
 def twisted_antipode(twist):
@@ -347,19 +348,13 @@ def verify_triangular(group, coproduct, r):
 
 def leg_span_rank(group, r):
     """Dimension of the span of the tensor legs of r, same on both sides."""
-    n = group.order
-    field = r.field
-    zero = field.zero()
-    rows = {}
+    n, zero = group.order, r.field.zero()
+    rows, cols = {}, {}
     for (a, b), v in r.coeffs.items():
         rows.setdefault(a, [zero] * n)[b] = v
-    mat = [row for row in rows.values()]
-    left = mat_rank(mat, n)
-    cols = {}
-    for (a, b), v in r.coeffs.items():
         cols.setdefault(b, [zero] * n)[a] = v
-    right = mat_rank(list(cols.values()), n)
-    if left != right:
+    left = mat_rank(list(rows.values()), n)
+    if left != mat_rank(list(cols.values()), n):
         raise TwistError("leg span ranks disagree between slots")
     return left
 

@@ -47,6 +47,7 @@ def test_abelian_tuples_and_invariant_factors():
     assert a.invariant_factors() == (2, 2, 4)
     assert AbelianGroup((2, 3)).invariant_factors() == (6,)
     assert AbelianGroup((6, 4)).invariant_factors() == (2, 12)
+    assert a.dual_group().factors == a.factors
 
 
 def test_dihedral_and_symmetric():
