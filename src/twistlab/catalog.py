@@ -374,15 +374,14 @@ class TriangularHopfDatum:
 
 
 def _minimal_agreement(G, r, members, u):
-    """(minimal, leg span rank of R, <H, u>); the two criteria must agree."""
+    """(leg span rank of R, <H, u>); minimality by each must agree."""
     gen = G.subgroup_generated(list(members) + [u])
     rank = leg_span_rank(G, r)
-    span_min = rank == G.order
-    if span_min != (len(gen) == G.order):
+    if (rank == G.order) != (len(gen) == G.order):
         raise CatalogError(
             f"minimality criteria disagree on {G.name}: leg span says "
-            f"{span_min} but <H, u> has order {len(gen)}")
-    return span_min, rank, gen
+            f"{rank == G.order} but <H, u> has order {len(gen)}")
+    return rank, gen
 
 
 def is_minimal_datum(datum):
@@ -392,8 +391,8 @@ def is_minimal_datum(datum):
     disagreement between the two criteria raises CatalogError.
     """
     q = datum.quadruple
-    minimal, _, _ = _minimal_agreement(q.G, datum.r, q.members, q.u)
-    return minimal
+    rank, _ = _minimal_agreement(q.G, datum.r, q.members, q.u)
+    return rank == q.G.order
 
 
 def realize_quadruple(q, seed=0):
@@ -424,7 +423,7 @@ def realize_quadruple(q, seed=0):
     u_ok = u_el == TensorElement.basis(G, (q.u,), field)
     expected = G.order if q.u == G.identity else 0
     trace_ok = regular_trace(u_el) == field.from_int(expected)
-    minimal, leg_rank, gen = _minimal_agreement(G, r, q.members, q.u)
+    leg_rank, gen = _minimal_agreement(G, r, q.members, q.u)
     solvable = G.subgroup(gen).is_solvable()
     reports = {"simple": simple, "regular character": characters,
                "triangular": triangular}
@@ -434,7 +433,7 @@ def realize_quadruple(q, seed=0):
         "regular character": characters.ok,
         "drinfeld matches u": u_ok,
         "drinfeld trace": trace_ok,
-        "minimal": minimal,
+        "minimal": leg_rank == G.order,
         "solvable": solvable,
         "center dimension": M.algebra.center_dimension(),
         "leg rank": leg_rank,

@@ -399,10 +399,9 @@ def _side_group(side, lines, requested):
         if sub != "factors":
             raise FormatError(f"unexpected key '{side} {sub}'", lineno)
         return _ints(rest, lineno, "factor"), lineno
-    last = _last(lines, read)
-    if last is None:
+    if not lines:
         return None
-    factors, lineno = last
+    factors, lineno = _last(lines, read)
     group = _cyclic(factors, lineno)
     if requested is None:
         return group

@@ -193,10 +193,13 @@ def twisted_coproduct(twist, x):
 
 def coassociativity_ok(twist):
     """Exact coassociativity of Delta_J on every basis element."""
-    delta = twist.coproduct_basis
-    return all(_delta_on_leg(delta, delta(g), 0) ==
-               _delta_on_leg(delta, delta(g), 1)
-               for g in range(twist.group.order))
+    for g in range(twist.group.order):
+        d = twist.coproduct_basis(g)
+        lhs = _delta_on_leg(twist.coproduct_basis, d, 0)
+        rhs = _delta_on_leg(twist.coproduct_basis, d, 1)
+        if lhs != rhs:
+            return False
+    return True
 
 
 def twisted_antipode(twist):
@@ -289,8 +292,7 @@ def check_triangular(group, coproduct, r):
 
     coproduct maps basis index g to a rank-2 tensor.  Checked exactly:
     invertibility, R Delta(x) = Delta_op(x) R on the basis, the two hexagon
-    identities, and R_21 R = 1 (x) 1, which makes R_21 the inverse of R; R
-    is inverted only when that fails.
+    identities, and R_21 R = 1 (x) 1; R is inverted only when that fails.
     """
     field = r.field
     report = CheckReport(f"triangular structure over {group.name}")
