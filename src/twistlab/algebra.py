@@ -5,18 +5,18 @@ index tuples to nonzero scalars.  Products are componentwise group-algebra
 convolutions.  Inversion works inside the group algebra of the subgroup S of
 G^rank generated by the support, by the first route that applies:
 
-- Fourier: S abelian; t is diagonalized by the characters of S and inverted
-  pointwise.
-- central split: the center Z of S is proper and nontrivial; k[S] splits
-  over the characters of Z into twisted group algebras of S/Z, and t is
-  inverted in each by a dense solve.
-- Krylov: otherwise; the minimal polynomial of left multiplication by t is
-  found by exact elimination.
+- central split: the center Z of S is nontrivial, or S is trivial; k[S]
+  splits over the characters of Z into twisted group algebras of S/Z, and
+  t is inverted in each by a dense solve.  Abelian S is the case Z = S:
+  one coset, so t is inverted pointwise on the characters of S.
+- Krylov: otherwise, or when the field lacks the roots of unity or its
+  characteristic divides |Z|; the minimal polynomial of left
+  multiplication by t is found by exact elimination.
 
 Every result is verified as a right inverse, t * inv = 1, which makes it
 two-sided (see algebra_invert).  AbelianCharacters is
 the shared character layer: the zeta_N power table and the mixed-radix
-transform (_axis_dft along each axis) behind the first two routes, the
+transform (_axis_dft along each axis) behind the central split, the
 character battery of catalog, and the character sums of movshev and
 constructions.
 
@@ -700,61 +700,15 @@ class AbelianCharacters:
         return vals
 
 
-def _fourier_invert(t, members):
-    """Invert t through its character values, for abelian support.
-
-    Returns None when the support subgroup is non-abelian, the order is not
-    invertible in the field, or the field lacks the needed roots of unity.
-    A zero character value certifies a zero divisor and raises.
-    """
-    field = t.field
-    n = len(members)
-    if field.characteristic and n % field.characteristic == 0:
-        return None
-    table = t.group.table
-
-    def mul(x, y):
-        return tuple(table[a][b] for a, b in zip(x, y))
-
-    gens = list(t.coeffs)
-    for i, g in enumerate(gens):
-        for h in gens[i + 1:]:
-            if mul(g, h) != mul(h, g):
-                return None
-    ident = (t.group.identity,) * t.rank
-    decomp = abelian_basis(members, mul, ident)
-    if decomp is None:
-        return None
-    try:
-        chars = AbelianCharacters(*decomp, field)
-    except ScalarError:
-        return None
-    pos = chars.pos
-    vals = [field.zero()] * n
-    for key, c in t.coeffs.items():
-        vals[pos[key]] = c
-    inv_vals = []
-    for v in chars.forward(vals):
-        if not v:
-            raise AlgebraError("element is a zero divisor (not invertible)")
-        inv_vals.append(v.inverse())
-    vals = chars.inverse(inv_vals)
-    scale = field.from_int(n).inverse()
-    coeffs = {}
-    for key in members:
-        v = vals[pos[key]]
-        if v:
-            coeffs[key] = v * scale
-    return TensorElement(t.group, t.rank, field, coeffs, prune=False)
-
-
 def _central_split_invert(t, members):
-    """Invert t through the character decomposition of the center of S.
+    """Invert t through the character decomposition of the center Z of S.
 
-    k[S] splits over characters chi of the center Z as a sum of twisted
-    group algebras of S/Z; t is inverted in each component by a dense
-    linear solve and reassembled.  Returns None when the split does not
-    apply (trivial or full center, missing roots, bad characteristic);
+    k[S] splits over characters chi of Z as a sum of twisted group algebras
+    of S/Z; t is inverted in each component by a dense linear solve and
+    reassembled.  For abelian S, Z = S and S/Z is one coset, so each
+    component is the 1x1 solve chi(t) y = 1: t is inverted pointwise on
+    the characters of S.  Returns None when the split does not apply
+    (trivial center of a nontrivial S, missing roots, bad characteristic);
     a singular component certifies a zero divisor and raises.
     """
     field = t.field
@@ -767,7 +721,7 @@ def _central_split_invert(t, members):
     gens = list(t.coeffs)
     center = [s for s in members if all(mul(s, g) == mul(g, s) for g in gens)]
     nz = len(center)
-    if nz <= 1 or nz == len(members):
+    if nz == 1 and len(members) > 1:
         return None
     if field.characteristic and nz % field.characteristic == 0:
         return None
@@ -833,12 +787,12 @@ def algebra_invert(t, max_steps=None):
     """Two-sided inverse of t in k[G]^(rank), or raise AlgebraError.
 
     Works in the group algebra of the subgroup S generated by the support.
-    When S is abelian and the field has the needed roots of unity, t is
-    diagonalized by characters of S and inverted pointwise; when only the
-    center of S is nontrivial the inversion splits over its characters
-    instead.  Otherwise the minimal polynomial of left multiplication by t
-    on k[S] is found by exact Krylov iteration; a nonzero constant term
-    yields the inverse, a zero constant term certifies a zero divisor.
+    When the center Z of S is nontrivial (or S is trivial) and the field
+    has the needed roots of unity, the inversion splits over the
+    characters of Z; for abelian S that is Z = S and pointwise inversion.
+    Otherwise the minimal polynomial of left multiplication by t on k[S] is
+    found by exact Krylov iteration; a nonzero constant term yields the
+    inverse, a zero constant term certifies a zero divisor.
 
     The result is always verified, on one side: k[G]^(rank) is a
     finite-dimensional associative algebra, so t * inv = 1 makes left
@@ -848,9 +802,7 @@ def algebra_invert(t, max_steps=None):
     if not t.coeffs:
         raise AlgebraError("zero element is not invertible")
     members = support_subgroup(t)
-    inv = _fourier_invert(t, members)
-    if inv is None:
-        inv = _central_split_invert(t, members)
+    inv = _central_split_invert(t, members)
     if inv is None:
         inv = _krylov_invert(t, members, max_steps)
     if t * inv != TensorElement.unit(t.group, t.rank, t.field):

@@ -456,7 +456,11 @@ def _order_profile(g):
             tuple(sorted(g.element_order(x) for x in range(g.order))))
 
 
-def builtin_groups(max_order=32):
+# Largest group order of the built-in inventory, and so of classify.
+MAX_INVENTORY_ORDER = 32
+
+
+def builtin_groups(max_order=MAX_INVENTORY_ORDER):
     """Group inventory up to max_order, one group per isomorphism class.
 
     Atoms are the cyclic groups, the dihedral groups, Q8, S3, A4, and S4;
@@ -464,8 +468,9 @@ def builtin_groups(max_order=32):
     explicit isomorphism searches.  Deterministic: ordered by group
     order, then by construction sequence.
     """
-    if not 1 <= max_order <= 32:
-        raise CatalogError("supported inventory orders are 1..32")
+    if not 1 <= max_order <= MAX_INVENTORY_ORDER:
+        raise CatalogError(
+            f"supported inventory orders are 1..{MAX_INVENTORY_ORDER}")
     if max_order not in _BUILTIN_CACHE:
         atoms = [make_cyclic(n) for n in range(2, max_order + 1)]
         atoms += [dihedral(n) for n in range(3, max_order // 2 + 1)]

@@ -23,7 +23,8 @@ from .movshev import (MovshevError, certify_simple, count_grouplikes,
 from .constructions import (ConstructionError, find_bijective_1cocycles,
                             twist_from_1cocycle, twist_from_rep,
                             verify_eq2345)
-from .catalog import CatalogError, builtin_groups, enumerate_quadruples
+from .catalog import (MAX_INVENTORY_ORDER, CatalogError, builtin_groups,
+                      enumerate_quadruples)
 from . import formats
 from .formats import FormatError
 
@@ -57,10 +58,14 @@ def _emit(args, artifact, report_text=None):
 
 
 def _field_of(args):
-    return make_field(parse_field_spec(args.field))
+    try:
+        return make_field(parse_field_spec(args.field))
+    except ScalarError as exc:
+        raise FormatError(f"bad --field: {exc}")
 
 
-def _factors(text, flag):
+def _abelian_flag(text, flag):
+    """The abelian group of a --G or --A flag of comma-separated factors."""
     try:
         factors = tuple(int(t) for t in text.split(",") if t.strip() != "")
     except ValueError:
@@ -68,7 +73,17 @@ def _factors(text, flag):
                           f"found {text!r}")
     if not factors:
         raise FormatError(f"{flag} expects at least one cyclic factor")
-    return factors
+    try:
+        return abelian_group(factors)
+    except GroupError as exc:
+        raise FormatError(f"bad {flag} {text!r}: {exc}")
+
+
+def _inventory_order(value, flag):
+    if not 1 <= value <= MAX_INVENTORY_ORDER:
+        raise FormatError(f"{flag} must be in 1..{MAX_INVENTORY_ORDER}, "
+                          f"found {value}")
+    return value
 
 
 def _load_twist_tensor(args):
@@ -227,8 +242,8 @@ def cmd_build_twist(args):
 
 
 def cmd_find_1cocycles(args):
-    G = abelian_group(_factors(args.G, "--G"))
-    A = abelian_group(_factors(args.A, "--A"))
+    G = _abelian_flag(args.G, "--G")
+    A = _abelian_flag(args.A, "--A")
     if args.action == "trivial":
         action = trivial_action(G, A)
     else:
@@ -264,11 +279,10 @@ def cmd_verify_eq2345(args):
 
 
 def cmd_classify(args):
-    if args.order < 1:
-        raise FormatError(f"--order must be at least 1, found {args.order}")
+    order = _inventory_order(args.order, "--order")
     field = _field_of(args)
     dedup = True if args.dedup else None
-    data = enumerate_quadruples(args.order, field=field, dedup=dedup,
+    data = enumerate_quadruples(order, field=field, dedup=dedup,
                                 seed=args.seed)
     columns = ["group", "|H|", "dim V", "u", "minimal", "grouplikes",
                "solvable", "class size", "certificates"]
@@ -283,7 +297,7 @@ def cmd_classify(args):
     doc = formats.format_table(
         "classify",
         [("field", formats.field_spec_string(field.spec())),
-         ("order", args.order), ("entries", len(rows))],
+         ("order", order), ("entries", len(rows))],
         columns, rows, status=all_ok)
     _emit(args, doc)
     return 0 if all_ok else 1
@@ -292,7 +306,7 @@ def cmd_classify(args):
 def cmd_catalog(args):
     if args.what != "list":
         raise FormatError(f"unknown catalog action {args.what!r}")
-    groups = builtin_groups(args.max_order)
+    groups = builtin_groups(_inventory_order(args.max_order, "--max-order"))
     columns = ["index", "name", "order", "abelian", "solvable"]
     rows = [[i, G.name, G.order, _yes(G.is_abelian()), _yes(G.is_solvable())]
             for i, G in enumerate(groups)]
@@ -308,8 +322,8 @@ def cmd_catalog(args):
 def _add_common(p, field=True, seed=False, out=True):
     if field:
         p.add_argument("--field", default="cyclotomic",
-                       help="scalar field: cyclotomic, cyclotomic:N, fp:P "
-                            "or fp:P:N (default cyclotomic)")
+                       help="scalar field: cyclotomic, fp:P or fp:P:N "
+                            "(default cyclotomic)")
     if seed:
         p.add_argument("--seed", type=int, default=0,
                        help="seed for deterministic searches (default 0)")

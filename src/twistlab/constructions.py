@@ -159,12 +159,10 @@ def is_nondegenerate(group, c):
     alg = twisted_group_algebra(group, c)
     simple = alg.center_dimension() == 1
     if isinstance(group, AbelianGroup):
+        # scalars compare and hash by value, not by printed conductor
         n = group.order
-        rows = set()
-        for g in range(n):
-            rows.add(tuple(
-                str(c.values[g][h] * c.values[h][g].inverse())
-                for h in range(n)))
+        rows = {tuple(c.values[g][h] * c.values[h][g].inverse()
+                      for h in range(n)) for g in range(n)}
         perfect = len(rows) == n
         if perfect != simple:
             raise ConstructionError(

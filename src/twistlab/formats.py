@@ -180,9 +180,7 @@ def _cyclic(factors, lineno, name=None):
 def field_spec_string(spec):
     """Inverse of parse_field_spec on normalized specs."""
     if spec.kind == "cyclotomic":
-        if spec.conductor <= 1:
-            return "cyclotomic"
-        return f"cyclotomic:{spec.conductor}"
+        return "cyclotomic"
     if spec.kind == "prime":
         return f"fp:{spec.modulus}:{spec.root_order}"
     raise FormatError(f"unknown field kind {spec.kind!r}")
@@ -191,7 +189,7 @@ def field_spec_string(spec):
 def _parse_field_line(rest, lineno):
     try:
         return make_field(parse_field_spec(rest))
-    except (ScalarError, ValueError) as exc:
+    except ScalarError as exc:
         raise FormatError(f"bad field spec {rest!r}: {exc}", lineno)
 
 
@@ -351,7 +349,7 @@ def parse_tensor(text, group=None):
     else:
         raise FormatError("tensor document carries no group block and no "
                           "group was supplied")
-    # Fourier and central-split inversion use the roots of unity of the
+    # inversion by the central split uses the roots of unity of the
     # group's exponent
     bind = _scalar_binder(field, g.exponent())
     coeffs = {}

@@ -16,6 +16,12 @@ class GroupError(ValueError):
     pass
 
 
+# Largest order of an AbelianGroup.  Its dense table has order^2 entries,
+# so a larger `factors` line or flag is refused before any table is built.
+# Every group the catalog and the constructions build is far smaller.
+MAX_ABELIAN_ORDER = 1024
+
+
 class FiniteGroup:
     """A group given by its full multiplication table."""
 
@@ -210,6 +216,8 @@ class AbelianGroup(FiniteGroup):
         n = 1
         for d in factors:
             n *= d
+        if n > MAX_ABELIAN_ORDER:
+            raise GroupError(f"order {n} is above {MAX_ABELIAN_ORDER}")
         self._tuples = []
         t = [0] * len(factors)
         for _ in range(n):

@@ -577,7 +577,6 @@ class FieldSpec:
     """Declaration of the scalar domain for a computation."""
 
     kind: str                    # "cyclotomic" or "prime"
-    conductor: int = 1           # cyclotomic: starting conductor
     modulus: int = 0             # prime: p
     root_order: int = 0          # prime: order N of the designated root
 
@@ -586,13 +585,7 @@ class CyclotomicField:
     """Handle for Q(zeta_N) scalars with on-demand conductor growth."""
 
     kind = "cyclotomic"
-
-    def __init__(self, conductor=1):
-        # keep the declared conductor as given (normalized away from 2 mod 4)
-        if conductor % 4 == 2:
-            conductor //= 2
-        self.conductor = max(conductor, 1)
-        self.characteristic = 0
+    characteristic = 0
 
     def zero(self):
         return Cyc.from_int(0)
@@ -616,10 +609,10 @@ class CyclotomicField:
         return parse_scalar(text)
 
     def spec(self):
-        return FieldSpec(kind="cyclotomic", conductor=self.conductor)
+        return FieldSpec(kind="cyclotomic")
 
     def __repr__(self):
-        return f"CyclotomicField(conductor={self.conductor})"
+        return "CyclotomicField()"
 
 
 class PrimeField:
@@ -699,23 +692,23 @@ class PrimeField:
 
 def make_field(spec):
     if spec.kind == "cyclotomic":
-        return CyclotomicField(spec.conductor)
+        return CyclotomicField()
     if spec.kind == "prime":
         return PrimeField(spec.modulus, spec.root_order)
     raise ScalarError(f"unknown field kind {spec.kind!r}")
 
 
 def parse_field_spec(text):
-    """Parse CLI field descriptions: 'cyclotomic', 'cyclotomic:N', 'fp:P', 'fp:P:N'."""
+    """Parse CLI field descriptions: 'cyclotomic', 'fp:P', 'fp:P:N'."""
     parts = text.split(":")
-    if parts[0] == "cyclotomic":
-        cond = int(parts[1]) if len(parts) > 1 else 1
-        return FieldSpec(kind="cyclotomic", conductor=cond)
-    if parts[0] == "fp":
-        if len(parts) < 2:
-            raise ScalarError("fp field spec needs a modulus, e.g. fp:13")
-        p = int(parts[1])
-        n = int(parts[2]) if len(parts) > 2 else p - 1
+    if parts == ["cyclotomic"]:
+        return FieldSpec(kind="cyclotomic")
+    if parts[0] == "fp" and len(parts) in (2, 3):
+        try:
+            p = int(parts[1])
+            n = int(parts[2]) if len(parts) > 2 else p - 1
+        except ValueError:
+            raise ScalarError(f"fp field spec needs integers, found {text!r}")
         return FieldSpec(kind="prime", modulus=p, root_order=n)
     raise ScalarError(f"cannot parse field spec {text!r}")
 

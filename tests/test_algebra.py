@@ -126,6 +126,21 @@ def test_invert_zero_divisor_detected():
         algebra_invert(TensorElement.zero(G, 1, Q))
 
 
+def dense_inverse(x):
+    """The inverse of x from a dense solve on k[S], as a coefficient dict,
+    or None for a zero divisor."""
+    field = x.field
+    members = support_subgroup(x)
+    mat, _ = left_regular_matrix(x, members)
+    n = len(members)
+    rhs = [field.zero()] * n
+    rhs[members.index((x.group.identity,) * x.rank)] = field.one()
+    dense = mat_solve(mat, rhs, n, field)
+    if dense is None:
+        return None
+    return {members[i]: dense[i] for i in range(n) if dense[i]}
+
+
 def test_invert_against_dense_oracle():
     rng = random.Random(77)
     G = abelian_group((2, 3))
@@ -135,23 +150,60 @@ def test_invert_against_dense_oracle():
         x = rand_tensor(rng, G, 1, 3)
         if not x:
             continue
-        members = support_subgroup(x)
-        mat, _ = left_regular_matrix(x, members)
-        n = len(members)
-        e_idx = members.index((G.identity,))
-        rhs = [Q.zero()] * n
-        rhs[e_idx] = Q.one()
-        dense = mat_solve(mat, rhs, n, Q)
-        if dense is None:
+        expected = dense_inverse(x)
+        if expected is None:
             with pytest.raises(AlgebraError):
                 algebra_invert(x)
             continue
         inv = algebra_invert(x)
         assert x * inv == unit1 and inv * x == unit1
-        expected = {members[i]: dense[i] for i in range(n) if dense[i]}
         assert inv.coeffs == expected
         checked += 1
     assert checked >= 5
+
+
+def test_invert_abelian_support_edge_cases_against_dense_oracle():
+    # abelian support is the central split with Z = S; it covers |S| = 1
+    # and hands over to Krylov when the characteristic divides |Z| or the
+    # prime field lacks the roots of unity
+    rng = random.Random(21)
+    F13, F3, F7 = PrimeField(13), PrimeField(3), PrimeField(7)
+    # (group, rank, field, terms, q): Krylov exactly when q divides |S|;
+    # no terms means a nonzero multiple of the unit
+    cases = ((abelian_group((2, 4)), 2, F13, 3, None),
+             (make_cyclic(6), 1, Q, 0, None),
+             (make_cyclic(6), 2, F13, 0, None),
+             (make_cyclic(3), 1, F3, 2, 3),
+             (abelian_group((2, 3)), 2, F3, 3, 3),
+             (make_cyclic(5), 1, F7, 3, 5),
+             (make_cyclic(5), 2, F7, 2, 5))
+    for G, rank, field, nterms, q in cases:
+        unit = TensorElement.unit(G, rank, field)
+        routes = set()
+        for _ in range(12):
+            if nterms:
+                x = TensorElement(G, rank, field, {
+                    tuple(rng.randrange(G.order) for _ in range(rank)):
+                        field.from_int(rng.randint(-3, 3))
+                    for _ in range(nterms)})
+            else:
+                x = unit.scale(field.from_int(rng.randint(1, 2)))
+            if not x:
+                continue
+            members = support_subgroup(x)
+            split = q is None or len(members) % q != 0
+            expected = dense_inverse(x)
+            if expected is None:
+                with pytest.raises(AlgebraError):
+                    algebra_invert(x)
+                continue
+            taken = algebra._central_split_invert(x, members) is not None
+            assert taken == split
+            routes.add(taken)
+            inv = algebra_invert(x)
+            assert inv.coeffs == expected
+            assert x * inv == unit and inv * x == unit
+        assert (q is None) in routes
 
 
 def test_invert_nonabelian_support_against_dense_oracle():
@@ -203,16 +255,19 @@ def test_right_inverse_is_two_sided_on_every_route():
     x_s3, j_s3 = gauge(s3, 3, 1)
     x_d4, j_d4 = gauge(d4, 1, 4)
     x_a4, _ = gauge(a4, 1, 4)
-    for route, t in (("fourier", x_c6), ("fourier", j_c6),
+    # the central split covers abelian support as Z = S ("abelian") and a
+    # proper nontrivial center ("central"); a trivial center goes to Krylov
+    for route, t in (("abelian", x_c6), ("abelian", j_c6),
                      ("central", x_d4), ("central", j_d4),
                      ("krylov", x_s3), ("krylov", j_s3), ("krylov", x_a4)):
         members = support_subgroup(t)
-        if algebra._fourier_invert(t, members) is not None:
-            taken = "fourier"
-        elif algebra._central_split_invert(t, members) is not None:
-            taken = "central"
-        else:
+        if algebra._central_split_invert(t, members) is None:
             taken = "krylov"
+        elif all(t.group.table[a][b] == t.group.table[b][a]
+                 for x in members for y in members for a, b in zip(x, y)):
+            taken = "abelian"
+        else:
+            taken = "central"
         assert taken == route
         inv = algebra_invert(t)
         unit = TensorElement.unit(t.group, t.rank, Q)

@@ -5,8 +5,9 @@ import hashlib
 import pytest
 
 from twistlab.scalars import CyclotomicField, PrimeField
-from twistlab.groups import (abelian_group, action_from_generator_images,
-                             dihedral, make_cyclic, symmetric, trivial_action)
+from twistlab.groups import (MAX_ABELIAN_ORDER, abelian_group,
+                             action_from_generator_images, dihedral,
+                             make_cyclic, symmetric, trivial_action)
 from twistlab.algebra import (TensorElement, algebra_invert, hopf_coproduct,
                               hopf_counit)
 from twistlab.twists import gauge_transform, identity_twist, verify_twist
@@ -243,6 +244,11 @@ PARSE_FAULTS = {
     "group-bad-factors": (
         formats.parse_group, edit(GROUP_DOC, "factors 2", "factors -2"),
         "line 4: bad cyclic factors [-2]: cyclic factors must be positive", 4),
+    "group-factors-above-cap": (
+        formats.parse_group,
+        edit(GROUP_DOC, "factors 2", f"factors {MAX_ABELIAN_ORDER + 1}"),
+        f"line 4: bad cyclic factors [{MAX_ABELIAN_ORDER + 1}]: order "
+        f"{MAX_ABELIAN_ORDER + 1} is above {MAX_ABELIAN_ORDER}", 4),
     "tensor-bad-header": (
         formats.parse_tensor, edit(TENSOR_DOC, "tensor v1", "tensor"),
         "line 1: expected a 'twistlab <kind> v1' header, found "
@@ -288,6 +294,10 @@ PARSE_FAULTS = {
     "tensor-bad-field": (
         formats.parse_tensor, edit(TENSOR_DOC, "cyclotomic", "real"),
         "line 2: bad field spec 'real': cannot parse field spec 'real'", 2),
+    "tensor-pinned-conductor": (
+        formats.parse_tensor, edit(TENSOR_DOC, "cyclotomic", "cyclotomic:8"),
+        "line 2: bad field spec 'cyclotomic:8': cannot parse field spec "
+        "'cyclotomic:8'", 2),
     "tensor-scalar-off-field": (
         formats.parse_tensor, edit(TENSOR_DOC, "Q(z_1) 1", "3 mod 5"),
         "line 11: scalar '3 mod 5' is not a cyclotomic value", 11),
@@ -316,6 +326,11 @@ PARSE_FAULTS = {
     "action-bad-factors": (
         formats.parse_action, edit(ACTION_DOC, "G factors 2", "G factors 0"),
         "line 2: bad cyclic factors [0]: cyclic factors must be positive", 2),
+    "action-factors-above-cap": (
+        formats.parse_action,
+        edit(ACTION_DOC, "A factors 2", f"A factors 2 {MAX_ABELIAN_ORDER}"),
+        f"line 3: bad cyclic factors [2, {MAX_ABELIAN_ORDER}]: order "
+        f"{2 * MAX_ABELIAN_ORDER} is above {MAX_ABELIAN_ORDER}", 3),
     "action-duplicate-perm": (
         formats.parse_action, ACTION_DOC + "perm 1 : 1 0\n",
         "line 6: duplicate perm 1", 6),
@@ -721,6 +736,26 @@ def test_hostile_scalar_is_a_parse_error(tmp_path, capsys, group, values):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("classify", "--order", "8", "--field", "fp:x"), "--field"),
+    (("classify", "--order", "8", "--field", "cyclotomic:x"), "--field"),
+    (("classify", "--order", "8", "--field", "cyclotomic:8"), "--field"),
+    (("classify", "--order", "8", "--field", "foo"), "--field"),
+    (("classify", "--order", "8", "--field", "fp:12"), "--field"),
+    (("find-1cocycles", "--G", "0", "--A", "2"), "--G"),
+    (("find-1cocycles", "--G", "2", "--A", str(MAX_ABELIAN_ORDER + 1)),
+     "--A"),
+    (("classify", "--order", "40"), "--order"),
+    (("catalog", "list", "--max-order", "40"), "--max-order"),
+    (("catalog", "list", "--max-order", "0"), "--max-order"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_bad_flag_value_is_a_parse_error(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:") and flag in err
+    assert "Traceback" not in err
+
+
 def test_classify_rejects_order_below_one(capsys):
     code, out, err = run_cli(capsys, "classify", "--order", "0")
     assert code == 2
@@ -800,8 +835,9 @@ GOLDEN_COMMANDS = [
 
 # sha256 of every document and report of GOLDEN_COMMANDS, recorded before
 # the character transforms were shared (algebra.AbelianCharacters).  The
-# gauge twists are inputs, and inverting their gauge elements takes the
-# Fourier (C3xC3), Krylov (S3) and central-split (D4) routes.  A change
+# gauge twists are inputs, and inverting their gauge elements takes both
+# inversion routes: the central split, over Z = S for the abelian C3xC3
+# and over the proper center of D4, and Krylov iteration for S3.  A change
 # that alters these bytes on purpose updates this table and says why.
 GOLDEN = {
     "c3xc3-gauge.txt":

@@ -103,6 +103,20 @@ def test_rescaled_lift_keeps_nondegeneracy():
     assert is_nondegenerate(V4, cocycle_of_rep(rep2))
 
 
+def test_one_dimensional_reps_are_degenerate_whatever_the_conductor():
+    # a 1-dim projective rep has a coboundary cocycle, so its twisted group
+    # algebra is commutative; equal bicharacter rows must count as equal
+    # even when their values were reached through different conductors
+    V4 = abelian_group((2, 2))
+    i = Q.primitive_root(4)
+    units = (Q.one(), -Q.one(), i, -i)
+    for a in units:
+        for b in units:
+            for c in units:
+                rep = ProjectiveRep(V4, [[[Q.one()]], [[a]], [[b]], [[c]]], Q)
+                assert not is_nondegenerate(V4, cocycle_of_rep(rep))
+
+
 def test_twisted_group_algebra():
     Z4 = make_cyclic(4)
     triv = Cocycle2.from_function(Z4, Q, lambda g, h: Q.one())

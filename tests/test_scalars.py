@@ -192,13 +192,15 @@ def test_cyc_to_fp_transport():
 
 
 def test_make_field_and_cli_specs():
-    f = make_field(FieldSpec(kind="cyclotomic", conductor=8))
-    assert f.kind == "cyclotomic" and f.conductor == 8
+    f = make_field(parse_field_spec("cyclotomic"))
+    assert f.kind == "cyclotomic" and f.spec() == FieldSpec(kind="cyclotomic")
     g = make_field(parse_field_spec("fp:13"))
     assert g.p == 13 and g.root_order == 12
     h = make_field(parse_field_spec("fp:13:4"))
     assert h.root_order == 4 and pow(h.root, 4, 13) == 1 and pow(h.root, 2, 13) != 1
-    assert parse_field_spec("cyclotomic:12").conductor == 12
+    for text in ("cyclotomic:12", "fp", "fp:x", "fp:13:4:2"):
+        with pytest.raises(ScalarError):
+            parse_field_spec(text)
     with pytest.raises(ScalarError):
         make_field(FieldSpec(kind="prime", modulus=12, root_order=1))
     with pytest.raises(ScalarError):
