@@ -783,7 +783,7 @@ def _central_split_invert(t, members):
     return TensorElement(t.group, t.rank, field, coeffs, prune=False)
 
 
-def algebra_invert(t, max_steps=None):
+def algebra_invert(t):
     """Two-sided inverse of t in k[G]^(rank), or raise AlgebraError.
 
     Works in the group algebra of the subgroup S generated by the support.
@@ -804,15 +804,16 @@ def algebra_invert(t, max_steps=None):
     members = support_subgroup(t)
     inv = _central_split_invert(t, members)
     if inv is None:
-        inv = _krylov_invert(t, members, max_steps)
+        inv = _krylov_invert(t, members)
     if t * inv != TensorElement.unit(t.group, t.rank, t.field):
         raise AlgebraError("inverse verification failed")
     return inv
 
 
-def _krylov_invert(t, members, max_steps):
+def _krylov_invert(t, members):
     """Invert t through the minimal polynomial of left multiplication by t
-    on k[S], found by exact Krylov iteration; raises on a zero divisor."""
+    on k[S], found by exact Krylov iteration by step n, as 1, t, ..., t^n
+    are dependent in the n-dim k[S]; raises on a zero divisor."""
     n = len(members)
     index = {m: i for i, m in enumerate(members)}
     field = t.field
@@ -834,7 +835,6 @@ def _krylov_invert(t, members, max_steps):
                     out[j] = out[j] + val * x
         return out
 
-    cap = max_steps or n
     e_idx = index[(t.group.identity,) * t.rank]
     v = [zero] * n
     v[e_idx] = field.one()
@@ -842,7 +842,7 @@ def _krylov_invert(t, members, max_steps):
     # echelon rows with their expression in terms of the Krylov vectors
     ech = []                           # list of (pivot, row, combo)
     _ech_insert(ech, list(v), [field.one()])
-    for step in range(1, cap + 1):
+    for step in range(1, n + 1):
         v = apply_fast(powers[-1])
         powers.append(v)
         c = [zero] * step + [field.one()]
@@ -863,7 +863,6 @@ def _krylov_invert(t, members, max_steps):
             coeffs = {members[j]: acc[j] for j in range(n) if acc[j]}
             return TensorElement(t.group, t.rank, field, coeffs, prune=False)
         _ech_insert(ech, row, c)
-    raise AlgebraError(f"no inverse found within {cap} Krylov steps")
 
 
 def _ech_reduce(ech, row, combo=None):
@@ -918,33 +917,32 @@ class StructureConstantAlgebra:
     m[i][j] is the product of basis elements i and j as a dict index -> scalar.
     """
 
-    def __init__(self, m, unit, field, labels=None, validate=True,
-                 assoc_limit=20):
+    def __init__(self, m, unit, field, labels=None, validate=True):
         self.dim = len(m)
         self.m = m
         self.unit = {k: v for k, v in unit.items() if v}
         self.field = field
         self.labels = list(labels) if labels else [f"Y{i}" for i in range(self.dim)]
         if validate:
-            self.validate(full_assoc=self.dim <= assoc_limit)
+            self.validate()
 
-    def validate(self, full_assoc=True):
+    def validate(self):
+        """Check the unit axioms and associativity on every basis triple."""
         d = self.dim
         for i in range(d):
             u = self.mult_vec(self.unit, {i: self.field.one()})
             v = self.mult_vec({i: self.field.one()}, self.unit)
             if u != {i: self.field.one()} or v != {i: self.field.one()}:
                 raise AlgebraError(f"unit axiom fails at basis element {i}")
-        if full_assoc:
-            for i in range(d):
-                for j in range(d):
-                    ij = self.m[i][j]
-                    for k in range(d):
-                        left = self.mult_vec(ij, {k: self.field.one()})
-                        right = self.mult_vec({i: self.field.one()}, self.m[j][k])
-                        if left != right:
-                            raise AlgebraError(
-                                f"associativity fails at ({i},{j},{k})")
+        for i in range(d):
+            for j in range(d):
+                ij = self.m[i][j]
+                for k in range(d):
+                    left = self.mult_vec(ij, {k: self.field.one()})
+                    right = self.mult_vec({i: self.field.one()}, self.m[j][k])
+                    if left != right:
+                        raise AlgebraError(
+                            f"associativity fails at ({i},{j},{k})")
 
     def mult_vec(self, u, v):
         out = {}
@@ -1042,8 +1040,7 @@ class StructureConstantAlgebra:
         return d - len(ech)
 
 
-def dualize_coalgebra(delta_rows, counit, field, labels=None, validate=True,
-                      assoc_limit=20):
+def dualize_coalgebra(delta_rows, counit, field, labels=None, validate=True):
     """Dual algebra of a coalgebra given by Delta(x_k) coefficient dicts.
 
     delta_rows[k] maps (i, j) to the coefficient of x_i (x) x_j in Delta(x_k);
@@ -1061,4 +1058,4 @@ def dualize_coalgebra(delta_rows, counit, field, labels=None, validate=True,
                 m[i][j][k] = v
     unit = {k: v for k, v in enumerate(counit) if v}
     return StructureConstantAlgebra(m, unit, field, labels=labels,
-                                    validate=validate, assoc_limit=assoc_limit)
+                                    validate=validate)

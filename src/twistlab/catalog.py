@@ -13,8 +13,10 @@ and deduplicates by explicit transport isomorphisms.
 For twists over abelian groups every axiom is equivalent to a family of
 scalar identities among the character transform values J^(s, t);
 AbelianTwistTable checks that battery at cubic scalar cost, which keeps
-order-64 scans fast.  The generic tensor engines stay authoritative: the
-two routes are cross-checked on every group small enough for both.
+order-64 scans fast.  Its character table and R-matrix lines are those of
+twists.character_table and twists.triangular_lines, which check_triangular
+also runs; the tests cross-check both against the tensor engines wherever
+those are cheap.
 
 char_p_mirror reruns a whole realization over a prime field whose
 multiplicative group hosts all needed roots of unity and compares every
@@ -26,14 +28,15 @@ import itertools
 from math import gcd, isqrt, lcm, prod
 
 from .scalars import CyclotomicField, PrimeField, is_prime
-from .groups import (PairingChar, abelian_group, action_from_generator_images,
-                     alternating4, dihedral, direct_product, is_isomorphic,
-                     isomorphisms, make_cyclic, quaternion8, symmetric,
-                     trivial_action)
+from .groups import (abelian_group, action_from_generator_images,
+                     alternating4, dihedral, direct_product,
+                     dual_automorphism_perm, is_isomorphic, isomorphisms,
+                     make_cyclic, quaternion8, symmetric, trivial_action)
 from .algebra import (AbelianCharacters, TensorElement, abelian_basis,
                       mat_rank, regular_trace)
-from .twists import (CheckReport, Twist, check_triangular, drinfeld_element,
-                     leg_span_rank, r_matrix, r_u, twisted_antipode)
+from .twists import (CheckReport, Twist, character_table, check_triangular,
+                     drinfeld_element, leg_span_rank, r_matrix, r_u,
+                     triangular_lines, twisted_antipode)
 from .movshev import (certify_simple, count_grouplikes, dual_movshev,
                       regular_character_report)
 from .constructions import (ProjectiveRep, cocycle_of_rep, is_nondegenerate,
@@ -71,53 +74,32 @@ def abelian_coordinates(group):
 class AbelianTwistTable:
     """Character transform J^(s, t) of a rank-2 tensor over an abelian group.
 
-    Characters carry the same mixed-radix indexing as a fixed cyclic
-    decomposition of the group; index addition is the character product.
-    Over an abelian group the twist and R-matrix axioms are equivalent to
-    scalar identities among the transform values, checked here at
-    quadratic or cubic scalar cost.  Character index 0 is the trivial
-    character throughout.
+    jhat and add are the twists.character_table of J: characters carry the
+    mixed-radix indexing of the cyclic decomposition abelian_coordinates
+    gives, add is the character product, and index 0 is the trivial
+    character.  Over an abelian group the twist and R-matrix axioms are
+    equivalent to scalar identities among the transform values, checked
+    here at quadratic or cubic scalar cost.
     """
 
     def __init__(self, J):
         if J.rank != 2:
             raise CatalogError("the character table needs a rank-2 tensor")
-        group, field = J.group, J.field
-        n = group.order
-        if field.characteristic and n % field.characteristic == 0:
-            raise CatalogError("field characteristic divides the group order")
-        orders, dlog, _ = abelian_coordinates(group)
-        chars = AbelianCharacters(orders, dlog, field)
-        pos = chars.pos
-        vals = [field.zero()] * (n * n)
-        for (a, b), v in J.coeffs.items():
-            vals[pos[a] * n + pos[b]] = v
-        flat = chars.forward(vals, rank=2)
-        jhat = [flat[s:s + n] for s in range(0, n * n, n)]
-        tuples = list(itertools.product(*[range(d) for d in orders]))
-        index_of = {t: i for i, t in enumerate(tuples)}
-        self.group = group
-        self.field = field
-        self.orders = tuple(orders)
-        self.n = n
-        self.jhat = jhat
-        self.add = [[index_of[tuple((a + b) % d for a, b, d in
-                                    zip(s, t, orders))]
-                     for t in tuples] for s in tuples]
-        self.neg = [index_of[tuple(-a % d for a, d in zip(s, orders))]
-                    for s in tuples]
+        table = character_table(J)
+        if table is None:
+            raise CatalogError(f"{J.group.name} has no abelian character table "
+                               f"over {J.field}")
+        self.group, self.field, self.n = J.group, J.field, J.group.order
+        self.jhat, self.add = table
         self._rhat = None
 
     def rhat(self):
         """Transform of R = J21^{-1} J; needs every J^(s, t) nonzero."""
         if self._rhat is None:
             n, jhat = self.n, self.jhat
-            for s in range(n):
-                for t in range(n):
-                    if not jhat[s][t]:
-                        raise CatalogError(
-                            "transform is singular, the tensor is not "
-                            "invertible")
+            if not all(all(row) for row in jhat):
+                raise CatalogError("transform is singular, the tensor is not "
+                                   "invertible")
             self._rhat = [[jhat[t][s].inverse() * jhat[s][t]
                            for t in range(n)] for s in range(n)]
         return self._rhat
@@ -145,25 +127,21 @@ class AbelianTwistTable:
         """Grouplikes of the conjugated coproduct: over an abelian group
         conjugation by J is trivial, so every group element stays
         grouplike."""
-        if not self.group.is_abelian():
-            raise CatalogError("the grouplike shortcut needs an abelian "
-                               "group")
         return self.n
 
     def battery(self):
         """Full axiom battery on the character side.
 
         Counit legs, invertibility, and the cocycle identity certify the
-        twist; unitarity R21 R = 1, the hexagons, and the intertwining
-        hypothesis certify triangularity of R = J21^{-1} J; the remaining
-        lines cover the Drinfeld element, minimality, the dual-algebra
-        center, and the grouplike count.  Intertwining and the grouplike
-        count hold structurally: k[H] (x) k[H] is commutative, so
-        conjugation by J fixes the coproduct.
+        twist; the five twists.triangular_lines certify triangularity of
+        R = J21^{-1} J; the remaining lines cover the Drinfeld element,
+        minimality, the dual-algebra center, and the grouplike count.  The
+        grouplike count holds structurally: k[H] (x) k[H] is commutative,
+        so conjugation by J fixes the coproduct.
         """
         n, field = self.n, self.field
         one = field.one()
-        jhat, add, neg = self.jhat, self.add, self.neg
+        jhat, add = self.jhat, self.add
         report = CheckReport(f"character battery over {self.group.name}")
 
         bad = next(((s, t) for s in range(n) for t in range(n)
@@ -177,65 +155,15 @@ class AbelianTwistTable:
             all(jhat[s][0] == one for s in range(n))
         report.add("counit legs", ok)
 
-        ok, witness = True, ""
-        for s in range(n):
-            js, adds = jhat[s], add[s]
-            for t in range(n):
-                pre, row_st, row_t, addt = js[t], jhat[adds[t]], jhat[t], add[t]
-                for r in range(n):
-                    if pre * row_st[r] != row_t[r] * js[addt[r]]:
-                        ok, witness = False, f"at characters ({s}, {t}, {r})"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        report.add("coproduct identity", ok, witness)
+        bad = _cocycle_failure(jhat, add)
+        report.add("coproduct identity", bad is None, f"at characters {bad}")
 
         rhat = self.rhat()
-        ok = all(rhat[t][s] * rhat[s][t] == one
-                 for s in range(n) for t in range(n))
-        report.add("unitarity", ok)
-
-        ok, witness = True, ""
-        for s in range(n):
-            rs, adds = rhat[s], add[s]
-            for t in range(n):
-                rt, r_st = rhat[t], rhat[adds[t]]
-                for r in range(n):
-                    if r_st[r] != rs[r] * rt[r]:
-                        ok, witness = False, f"at characters ({s}, {t}, {r})"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        report.add("hexagon on the first leg", ok, witness)
-
-        ok, witness = True, ""
-        for s in range(n):
-            rs = rhat[s]
-            for t in range(n):
-                vt, addt = rs[t], add[t]
-                for r in range(n):
-                    if rs[addt[r]] != rs[r] * vt:
-                        ok, witness = False, f"at characters ({s}, {t}, {r})"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        report.add("hexagon on the second leg", ok, witness)
-
-        report.add("coproduct intertwining", self.group.is_abelian(),
-                   "needs an abelian group")
-
-        uhat = [rhat[s][neg[s]] for s in range(n)]
+        report.checks += triangular_lines(field, rhat, add)
+        uhat = [rhat[s][add[s].index(0)] for s in range(n)]
         report.add("drinfeld element is the identity",
                    all(v == one for v in uhat))
-        tr = field.zero()
-        for v in uhat:
-            tr = tr + v
+        tr = sum(uhat, field.zero())
         want = field.from_int(n)
         report.add("drinfeld regular trace", tr == want, f"{tr} != {want}")
 
@@ -245,6 +173,19 @@ class AbelianTwistTable:
         report.add("dual center dimension", center == 1, f"dimension {center}")
         report.add("grouplike count", self.grouplike_count() == n)
         return report
+
+
+def _cocycle_failure(jhat, add):
+    """First (s, t, r) with J^(s, t) J^(s+t, r) != J^(t, r) J^(s, t+r)."""
+    n = len(jhat)
+    for s in range(n):
+        js, adds = jhat[s], add[s]
+        for t in range(n):
+            pre, row_st, row_t, addt = js[t], jhat[adds[t]], jhat[t], add[t]
+            for r in range(n):
+                if pre * row_st[r] != row_t[r] * js[addt[r]]:
+                    return s, t, r
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -889,32 +830,6 @@ def finder_scan(max_order=8):
                 classes.append((pos, []))
         entries.append(ScanEntry(label, G, A, action, found, classes))
     return entries
-
-
-def dual_automorphism_perm(A, alpha):
-    """The permutation alpha* of A* with <alpha* b, alpha a> = <b, a>.
-
-    A* carries the same tuple indexing as A through the standard pairing;
-    alpha* is the inverse transpose of alpha in that identification.
-    """
-    pairing = PairingChar(A)
-    N = pairing.N
-    basis = A.basis()
-    inv = [0] * A.order
-    for a, b in enumerate(alpha):
-        inv[b] = a
-    out = []
-    for b in range(A.order):
-        tup = []
-        for i, ei in enumerate(basis):
-            d = A.factors[i]
-            t = pairing.exponent(inv[ei], b)
-            if t % (N // d):
-                raise CatalogError("dual relabeling left the character "
-                                   "lattice")
-            tup.append(t // (N // d) % d)
-        out.append(A.index_of(tuple(tup)))
-    return out
 
 
 def transport_twist_perm(H, phi, alpha_star):

@@ -145,7 +145,7 @@ def twisted_group_algebra(group, c):
         labels=[f"X_{group.labels[g]}" for g in range(n)], validate=False)
     # associativity is the cocycle identity in disguise; re-check it on the
     # assembled structure constants as an independent route
-    alg.validate(full_assoc=True)
+    alg.validate()
     return alg
 
 

@@ -503,26 +503,29 @@ class PairingChar:
 
 def dual_action(action):
     """The action on A* defined by <g.b, a> = <b, g^{-1}.a>."""
-    A = action.A
+    return GroupAction(action.G, action.A, [
+        dual_automorphism_perm(action.A, p) for p in action.perms])
+
+
+def dual_automorphism_perm(A, alpha):
+    """The permutation alpha* of A* with <alpha* b, alpha a> = <b, a>: the
+    inverse transpose of the automorphism alpha, given as its image list,
+    with A* indexed like A through the standard pairing."""
     pairing = PairingChar(A)
     N = pairing.N
-    basis = A.basis()
-    perms = []
-    for g in range(action.G.order):
-        ginv = action.G.inverse(g)
-        images = []
-        for b in range(A.order):
-            tup = []
-            for i, ei in enumerate(basis):
-                d = A.factors[i]
-                t = pairing.exponent(action.act(ginv, ei), b)
-                # t must be a multiple of N/d for a valid character value
-                if t % (N // d):
-                    raise GroupError("dual action left the character lattice")
-                tup.append((t // (N // d)) % d)
-            images.append(A.index_of(tuple(tup)))
-        perms.append(tuple(images))
-    return GroupAction(action.G, A, perms)
+    inv = {b: a for a, b in enumerate(alpha)}
+    out = []
+    for b in range(A.order):
+        tup = []
+        for ei, d in zip(A.basis(), A.factors):
+            t = pairing.exponent(inv[ei], b)
+            # t must be a multiple of N/d for a valid character value
+            if t % (N // d):
+                raise GroupError("dual permutation left the character "
+                                 "lattice")
+            tup.append(t // (N // d) % d)
+        out.append(A.index_of(tuple(tup)))
+    return out
 
 
 def semidirect_product(G, Astar, action, name=None):

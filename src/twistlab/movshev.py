@@ -84,7 +84,7 @@ def dual_movshev(twist, validate=False):
     rows, counit = build_BJ(twist)
     labels = [f"Y_{group.labels[x]}" for x in range(group.order)]
     alg = dualize_coalgebra(rows, counit, field, labels=labels,
-                            validate=validate, assoc_limit=group.order)
+                            validate=validate)
     table = group.table
     m = alg.m
     for h in range(group.order):
@@ -444,7 +444,9 @@ def trivialize_symmetric_twist(twist):
     t = solve_character_cocycle(group, field, lambda i, j: jhat[i * n + j])
     if t is None:
         raise MovshevError(
-            "a required root does not exist over the working field")
+            "no required root was found: the search is exhaustive over F_p, "
+            "and over Q(zeta) it covers only roots of unity, rationals and "
+            "quadratic cyclotomic numbers")
     inv_n = field.from_fraction(Fraction(1, n))
     x = TensorElement(group, 1, field,
                       {(g,): v * inv_n for g, v in enumerate(chars.inverse(t))

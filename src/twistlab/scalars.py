@@ -180,6 +180,9 @@ _ctx_cache = {}
 # finder and the catalog build has a conductor far below this.
 MAX_CONDUCTOR = 1024
 
+# Largest prime-field modulus: is_prime and the root search trial-divide.
+MAX_MODULUS = 2 ** 31
+
 
 def _ctx(n):
     ctx = _ctx_cache.get(n)
@@ -620,12 +623,13 @@ class PrimeField:
 
     kind = "prime"
 
-    def __init__(self, p, root_order=0):
-        if not is_prime(p):
-            raise ScalarError(f"{p} is not prime")
-        n = root_order or p - 1
-        if (p - 1) % n:
-            raise ScalarError(f"root order {n} does not divide p-1 = {p - 1}")
+    def __init__(self, p, root_order=None):
+        if p > MAX_MODULUS or not is_prime(p):
+            raise ScalarError(f"{p} is not a prime up to {MAX_MODULUS}")
+        n = p - 1 if root_order is None else root_order
+        if n < 1 or (p - 1) % n:
+            raise ScalarError(
+                f"root order {n} is not a positive divisor of p-1 = {p - 1}")
         self.p = p
         self.root_order = n
         self.characteristic = p

@@ -11,9 +11,10 @@ and u^2 = 1 certify that R and u are invertible.
 """
 from __future__ import annotations
 
+from .scalars import ScalarError
 from .algebra import (
-    AlgebraError, TensorElement, algebra_invert, hopf_coproduct, hopf_counit,
-    mat_rank,
+    AbelianCharacters, AlgebraError, TensorElement, abelian_basis,
+    algebra_invert, hopf_coproduct, hopf_counit, mat_rank,
 )
 
 
@@ -292,8 +293,23 @@ def check_triangular(group, coproduct, r):
 
     coproduct maps basis index g to a rank-2 tensor.  Checked exactly:
     invertibility, R Delta(x) = Delta_op(x) R on the basis, the two hexagon
-    identities, and R_21 R = 1 (x) 1; R is inverted only when that fails.
+    identities, and R_21 R = 1 (x) 1.  triangular_lines decide them at |G|^3
+    scalar cost when the coproduct is g -> g (x) g, r has a character_table
+    and more than |G|^(3/2) terms (the tensor engine multiplies pairs of
+    terms); otherwise, or when a line fails, the tensor engine does.
     """
+    report = CheckReport(f"triangular structure over {group.name}")
+    if len(r.coeffs) ** 2 > group.order ** 3 and \
+            all(coproduct(g) == TensorElement.basis(group, (g, g), r.field)
+                for g in range(group.order)):
+        table = character_table(r)
+        report.checks = triangular_lines(r.field, *table) if table else []
+    ok = report.checks and report.ok
+    return report if ok else _tensor_triangular(group, coproduct, r)
+
+
+def _tensor_triangular(group, coproduct, r):
+    """check_triangular on tensors; R is inverted only if R_21 R != 1 (x) 1."""
     field = r.field
     report = CheckReport(f"triangular structure over {group.name}")
     unit2 = TensorElement.unit(group, 2, field)
@@ -306,26 +322,89 @@ def check_triangular(group, coproduct, r):
         report.add("R invertible", False, str(exc))
     report.add_equal("unitarity R_21 R = 1", unitarity, unit2)
     deltas = [coproduct(g) for g in range(group.order)]
-    comm_ok, comm_witness = True, ""
+    witness = ""
     for g in range(group.order):
-        lhs = r * deltas[g]
-        rhs = deltas[g].swap() * r
-        diff = first_difference(lhs, rhs)
+        diff = first_difference(r * deltas[g], deltas[g].swap() * r)
         if diff is not None:
-            comm_ok = False
             k, va, vb = diff
-            comm_witness = (f"x = {group.labels[g]} at {k}: {va} != {vb}")
+            witness = f"x = {group.labels[g]} at {k}: {va} != {vb}"
             break
-    report.add("R-commutation with coproduct", comm_ok, comm_witness)
-    # (Delta (x) I)(R) = R_13 R_23
-    lhs = _delta_on_leg(deltas.__getitem__, r, 0)
-    rhs = r.embed((1, 3), 3) * r.embed((2, 3), 3)
-    report.add_equal("hexagon (Delta (x) I)R = R13 R23", lhs, rhs)
-    # (I (x) Delta)(R) = R_13 R_12
-    lhs = _delta_on_leg(deltas.__getitem__, r, 1)
-    rhs = r.embed((1, 3), 3) * r.embed((1, 2), 3)
-    report.add_equal("hexagon (I (x) Delta)R = R13 R12", lhs, rhs)
+    report.add("R-commutation with coproduct", not witness, witness)
+    report.add_equal("hexagon (Delta (x) I)R = R13 R23",
+                     _delta_on_leg(deltas.__getitem__, r, 0),
+                     r.embed((1, 3), 3) * r.embed((2, 3), 3))
+    report.add_equal("hexagon (I (x) Delta)R = R13 R12",
+                     _delta_on_leg(deltas.__getitem__, r, 1),
+                     r.embed((1, 3), 3) * r.embed((1, 2), 3))
     return report
+
+
+def character_table(t):
+    """(rows, add) with rows[s][u] = (chi_s (x) chi_u)(t) for a rank-2 t.
+
+    Characters carry the mixed-radix order of the abelian_basis coordinates,
+    index 0 is the trivial one and add[s][u] is the index of chi_s chi_u.
+    None unless the group is abelian and the field has its roots of unity,
+    which it lacks when its characteristic divides the group order.
+    """
+    group, field, n = t.group, t.field, t.group.order
+    if not group.is_abelian():
+        return None
+    orders, dlog = abelian_basis(list(range(n)), group.mul, group.identity)
+    try:
+        chars = AbelianCharacters(orders, dlog, field)
+    except ScalarError:
+        return None
+    pos = chars.pos
+    vals = [field.zero()] * (n * n)
+    for (a, b), v in t.coeffs.items():
+        vals[pos[a] * n + pos[b]] = v
+    flat = chars.forward(vals, rank=2)
+    # the slot of a member is the index of the character with its
+    # coordinates, so slots add as their members multiply
+    member = sorted(range(n), key=pos.__getitem__)
+    add = [[pos[group.table[a][b]] for b in member] for a in member]
+    return [flat[s:s + n] for s in range(0, n * n, n)], add
+
+
+def triangular_lines(field, rhat, add):
+    """The five check_triangular lines of R from its character table.
+
+    The chi_s (x) chi_t separate k[G] (x) k[G], so with the coproduct
+    g -> g (x) g and R^(s, t) = (chi_s (x) chi_t)(R): R is invertible when
+    no R^(s, t) is zero, R_21 R = 1 is R^(t, s) R^(s, t) = 1, R commutes
+    with the cocommutative coproduct, and the hexagons are
+    R^(s+t, r) = R^(s, r) R^(t, r) and R^(s, t+r) = R^(s, t) R^(s, r).
+    """
+    n, one = len(rhat), field.one()
+    second = _hexagon_failure(list(zip(*rhat)), add)
+    found = [
+        ("R invertible", next(((s, t) for s in range(n) for t in range(n)
+                               if not rhat[s][t]), None)),
+        ("unitarity R_21 R = 1",
+         next(((s, t) for s in range(n) for t in range(n)
+               if rhat[t][s] * rhat[s][t] != one), None)),
+        ("R-commutation with coproduct", None),
+        ("hexagon (Delta (x) I)R = R13 R23", _hexagon_failure(rhat, add)),
+        # the second hexagon is the first on the transpose, at (t, r, s)
+        ("hexagon (I (x) Delta)R = R13 R12",
+         second and (second[2], second[0], second[1])),
+    ]
+    return [(name, at is None, "" if at is None else f"at characters {at}")
+            for name, at in found]
+
+
+def _hexagon_failure(rows, add):
+    """First (s, t, r) with rows[s + t][r] != rows[s][r] rows[t][r]."""
+    n = len(rows)
+    for s in range(n):
+        rs, adds = rows[s], add[s]
+        for t in range(n):
+            rt, r_st = rows[t], rows[adds[t]]
+            for r in range(n):
+                if r_st[r] != rs[r] * rt[r]:
+                    return s, t, r
+    return None
 
 
 def _delta_on_leg(coproduct, r, leg):

@@ -9,14 +9,13 @@ at |G| <= 16.
 
 Cost policy for the finder scan.  verify_twist and the abelian character
 battery stay cheap at |H| = 64, so axiom checks run per member wherever
-possible.  The generic triangularity checker walks |H|^4 scalar products
-and is only run at |H| <= 16; beyond that the battery certifies the same
-axioms through the character transform, and at |H| = 64 the heavy
-certificates (battery, dual algebra) run on class representatives plus
-two spot members per class, with every remaining member tied to its
-representative by an exact relabeling of tensors.  The two engines are
-both exercised on every abelian twist at |H| <= 16, where they must
-agree.
+possible.  check_triangular certifies every twist that meets an R-level
+engine; it reads the axioms off the character table when the group is
+abelian and R dense, and at |H| <= 16 its report must equal that of the
+tensor-side engine.  At |H| = 64 the heavy certificates (battery, check_triangular,
+dual algebra) run on class representatives plus two spot members per
+class, with every remaining member tied to its representative by an
+exact relabeling of tensors.
 """
 
 import random
@@ -30,6 +29,7 @@ from twistlab.groups import make_cyclic, abelian_group, trivial_action
 from twistlab.algebra import (
     AlgebraError, TensorElement, algebra_invert, regular_trace,
 )
+from twistlab import twists
 from twistlab.twists import (
     TwistError, check_triangular, check_twist, drinfeld_element,
     gauge_transform, identity_twist, r_matrix, r_u,
@@ -68,7 +68,6 @@ SCAN_COUNTS = {
     "C2xC2xC2 on C2xC2xC2, trivial": (168, 1),
 }
 
-GENERIC_LIMIT = 16      # |H| cap for the quartic triangularity checker
 BATTERY_LIMIT = 36      # |H| cap for running the battery on every member
 
 
@@ -265,12 +264,16 @@ def test_twist_axioms_hold_exactly(named, finder_records, capsys):
             assert reps == n_classes, label
 
 
-def _assert_generic_triangular(tw, where):
+def _assert_triangular(tw, where):
     r = r_matrix(tw)
     report = check_triangular(tw.group, tw.coproduct_basis, r)
     assert report.ok, f"{where}:\n{report.summary()}"
-    unit = TensorElement.unit(tw.group, 2, tw.field)
-    assert r.swap() * r == unit, f"{where}: R21 R != 1 (x) 1"
+    if tw.group.order <= 16:
+        # the tensor-side engine is the oracle where its |H|^4 walk is cheap
+        oracle = twists._tensor_triangular(tw.group, tw.coproduct_basis, r)
+        assert oracle.checks == report.checks, where
+        unit = TensorElement.unit(tw.group, 2, tw.field)
+        assert r.swap() * r == unit, f"{where}: R21 R != 1 (x) 1"
 
 
 def test_r_matrices_are_triangular(named, finder_records, capsys):
@@ -279,22 +282,21 @@ def test_r_matrices_are_triangular(named, finder_records, capsys):
         for name, tw in named:
             battery = AbelianTwistTable(tw.J).battery()
             assert battery.ok, f"{name}:\n{battery.summary()}"
-            if tw.group.order <= GENERIC_LIMIT:
-                _assert_generic_triangular(tw, name)
+            _assert_triangular(tw, name)
         for rec in finder_records:
             where = rec.where()
             if rec.battery is not None:
                 assert rec.battery.ok, f"{where}:\n{rec.battery.summary()}"
-            if rec.H.order <= GENERIC_LIMIT:
-                _assert_generic_triangular(rec.twist, where)
+            if rec.battery is not None or not rec.H.is_abelian():
+                _assert_triangular(rec.twist, where)
+            else:
+                # only members the battery skipped at |H| = 64 get here;
+                # every class representative meets check_triangular
+                assert not rec.is_representative, where
             if not rec.is_representative:
                 # the member twist is the representative twist relabeled
                 # by a group automorphism, so certificates transport
                 assert rec.transport_equal, where
-            else:
-                # every class representative meets an R-level engine
-                assert rec.battery is not None or \
-                    rec.H.order <= GENERIC_LIMIT, where
 
 
 def _assert_drinfeld(tw, u_index, where):
@@ -318,7 +320,10 @@ def test_drinfeld_element_matches_u(named, finder_records, enumerated, capsys):
                              rec.where())
                 battery_line(rec.battery, "drinfeld regular trace",
                              rec.where())
-            elif rec.H.order <= GENERIC_LIMIT:
+            elif rec.H.is_abelian():
+                # a member the battery skipped at |H| = 64
+                assert rec.transport_equal, rec.where()
+            else:
                 _assert_drinfeld(rec.twist, rec.H.identity, rec.where())
         seen_nontrivial_u = False
         for datum in all_data(enumerated):
@@ -471,18 +476,14 @@ def test_grouplike_counts(named, finder_records, enumerated, capsys):
     with criterion(capsys, 8, "twisted algebras keep at least two grouplikes for "
                               "|G| >= 2, and exactly |G| at the trivial twist"):
         for name, tw in named:
-            if tw.group.order <= GENERIC_LIMIT:
-                assert count_grouplikes(tw) >= 2, name
-            else:
-                battery_line(AbelianTwistTable(tw.J).battery(),
-                             "grouplike count", name)
+            assert count_grouplikes(tw) >= 2, name
         for rec in finder_records:
             if rec.battery is not None:
                 battery_line(rec.battery, "grouplike count", rec.where())
-            elif rec.H.order <= GENERIC_LIMIT:
-                assert count_grouplikes(rec.twist) >= 2, rec.where()
-            else:
+            elif rec.H.is_abelian():
                 assert rec.transport_equal, rec.where()
+            else:
+                assert count_grouplikes(rec.twist) >= 2, rec.where()
         for datum in all_data(enumerated):
             if datum.quadruple.G.order >= 2:
                 assert datum.certificates["grouplikes"] >= 2, \

@@ -4,15 +4,18 @@ from math import lcm
 import pytest
 
 from twistlab import algebra
-from twistlab.scalars import Cyc, CyclotomicField
-from twistlab.groups import abelian_group, isomorphisms, make_cyclic, symmetric
+from twistlab.scalars import Cyc, CyclotomicField, PrimeField
+from twistlab.groups import (abelian_group, isomorphisms, make_cyclic,
+                             symmetric, trivial_action)
+from twistlab.algebra import TensorElement
 from twistlab import twists
 from twistlab.twists import (check_triangular, check_twist, identity_twist,
-                             leg_span_rank, r_matrix)
+                             leg_span_rank, r_matrix, r_u)
 from twistlab.movshev import count_grouplikes, dual_movshev
 from twistlab.constructions import (cocycle_ambient_group,
                                     cocycle_twist_tensor, is_nondegenerate,
-                                    cocycle_of_rep, twist_from_1cocycle)
+                                    cocycle_of_rep, find_bijective_1cocycles,
+                                    twist_from_1cocycle)
 from twistlab.catalog import (AbelianTwistTable, CatalogError, Quadruple,
                               abelian_coordinates, admissible_primes,
                               all_subgroups, alternating_bicharacters,
@@ -217,6 +220,80 @@ def test_battery_matches_generic_engines():
         M = dual_movshev(tw)
         assert M.algebra.center_dimension() == table.center_count()
         assert count_grouplikes(tw) == table.grouplike_count()
+
+
+def test_check_triangular_matches_the_tensor_engine(monkeypatch):
+    """check_triangular and the tensor-side engine give equal reports on R,
+    R R_u and a perturbed R of every abelian finder twist with |H| <= 16.
+    The perturbed R fails, so check_triangular hands it to the tensor
+    engine, whose verdicts the character lines must also reach."""
+    engine, fallbacks = twists._tensor_triangular, []
+
+    def spy(*args):
+        fallbacks.append(engine(*args))
+        return fallbacks[-1]
+    monkeypatch.setattr(twists, "_tensor_triangular", spy)
+    checked = 0
+    for entry in finder_scan(max_order=4):
+        for data in entry.cocycles:
+            tw = twist_from_1cocycle(data)
+            H, field = tw.group, tw.field
+            if not H.is_abelian():
+                continue
+            r = r_matrix(tw)
+            u = next((g for g in range(H.order) if H.element_order(g) == 2),
+                     H.identity)
+            bad = r + TensorElement.basis(H, (u, H.identity), field)
+            for rr in (r, r * r_u(H, field, u), bad):
+                report = check_triangular(H, tw.coproduct_basis, rr)
+                if rr is bad:
+                    oracle = fallbacks.pop()
+                    assert report is oracle and not oracle.ok
+                else:
+                    assert fallbacks == []
+                    oracle = engine(H, tw.coproduct_basis, rr)
+                    assert report.summary() == oracle.summary()
+                    assert report.checks == oracle.checks
+                lines = twists.triangular_lines(
+                    field, *twists.character_table(rr))
+                assert [ok for _, ok, _ in lines] == \
+                    [ok for _, ok, _ in oracle.checks]
+            checked += 1
+    assert checked == 11
+
+
+def test_check_triangular_at_64_needs_no_tensor_engine(monkeypatch):
+    G = abelian_group((2, 4))
+    tw = twist_from_1cocycle(
+        find_bijective_1cocycles(G, G, trivial_action(G, G))[0])
+    assert tw.group.order == 64
+
+    def tensor_engine(*args):
+        raise AssertionError("the tensor engine ran")
+    monkeypatch.setattr(twists, "_tensor_triangular", tensor_engine)
+    report = check_triangular(tw.group, tw.coproduct_basis, r_matrix(tw))
+    assert report.ok, report.summary()
+    assert [n for n, _, _ in report.checks] == [
+        "R invertible", "unitarity R_21 R = 1",
+        "R-commutation with coproduct", "hexagon (Delta (x) I)R = R13 R23",
+        "hexagon (I (x) Delta)R = R13 R12"]
+
+
+def test_character_route_needs_abelian_group_and_roots():
+    """No character table on S3, over F_5 with only a square root of 1, or
+    over F_3 for C3, so check_triangular decides on tensors there and
+    AbelianTwistTable refuses."""
+    for tw in (identity_twist(symmetric(3), CyclotomicField()),
+               identity_twist(make_cyclic(4), PrimeField(5, 2)),
+               identity_twist(make_cyclic(3), PrimeField(3))):
+        assert twists.character_table(tw.J) is None
+        with pytest.raises(CatalogError):
+            AbelianTwistTable(tw.J)
+        r = r_matrix(tw)
+        report = check_triangular(tw.group, tw.coproduct_basis, r)
+        assert report.ok
+        assert report.checks == twists._tensor_triangular(
+            tw.group, tw.coproduct_basis, r).checks
 
 
 def test_modular_certificates_match_exact_path(monkeypatch):

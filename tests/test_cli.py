@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from twistlab.scalars import CyclotomicField, PrimeField
+from twistlab.scalars import MAX_MODULUS, CyclotomicField, PrimeField
 from twistlab.groups import (MAX_ABELIAN_ORDER, abelian_group,
                              action_from_generator_images, dihedral,
                              make_cyclic, symmetric, trivial_action)
@@ -298,6 +298,15 @@ PARSE_FAULTS = {
         formats.parse_tensor, edit(TENSOR_DOC, "cyclotomic", "cyclotomic:8"),
         "line 2: bad field spec 'cyclotomic:8': cannot parse field spec "
         "'cyclotomic:8'", 2),
+    "tensor-field-root-order-zero": (
+        formats.parse_tensor, edit(TENSOR_DOC, "cyclotomic", "fp:13:0"),
+        "line 2: bad field spec 'fp:13:0': root order 0 is not a positive "
+        "divisor of p-1 = 12", 2),
+    "tensor-field-modulus-above-cap": (
+        formats.parse_tensor,
+        edit(TENSOR_DOC, "cyclotomic", "fp:100000000000000003"),
+        "line 2: bad field spec 'fp:100000000000000003': "
+        f"100000000000000003 is not a prime up to {MAX_MODULUS}", 2),
     "tensor-scalar-off-field": (
         formats.parse_tensor, edit(TENSOR_DOC, "Q(z_1) 1", "3 mod 5"),
         "line 11: scalar '3 mod 5' is not a cyclotomic value", 11),
@@ -473,6 +482,21 @@ def test_parse_fault_diagnostics(case):
     assert (str(info.value), info.value.line) == (message, line)
 
 
+@pytest.mark.parametrize("dim", [20, 21])
+def test_parse_algebra_checks_associativity_at_every_dim(dim):
+    """Y_0 is the unit and Y_1 Y_2 = Y_1 is the only other nonzero product,
+    so (Y_1 Y_2) Y_2 = Y_1 while Y_1 (Y_2 Y_2) = 0."""
+    lines = ["field cyclotomic", f"dim {dim}", "unit 0 : Q(z_1) 1",
+             "sc 1 2 1 : Q(z_1) 1"]
+    lines += [f"sc 0 {i} {i} : Q(z_1) 1" for i in range(dim)]
+    lines += [f"sc {i} 0 {i} : Q(z_1) 1" for i in range(1, dim)]
+    with pytest.raises(FormatError) as info:
+        formats.parse_algebra(doc_of("algebra", *lines))
+    assert str(info.value) == ("structure constants do not form a unital "
+                               "associative algebra: associativity fails at "
+                               "(1,2,2)")
+
+
 def test_listing_summary_is_free_text():
     """Nothing after a report's or table's summary line is parsed."""
     junk = "check maybe x\nrow 9 : a\nstatus unknown\n"
@@ -625,6 +649,25 @@ def test_trivialize_symmetric_and_refusal(tmp_path, capsys):
     assert "not symmetric" in err
 
 
+def test_trivialize_names_the_root_search(tmp_path, capsys):
+    """x = 4e + g + 2g^2 gauges the trivial twist on C5, but the roots its
+    trivialization needs are not of the kinds the cyclotomic search
+    covers, so the refusal says what was searched."""
+    G = abelian_group((5,))
+    field = CyclotomicField()
+    x = TensorElement(G, 1, field, {(0,): field.from_int(4),
+                                    (1,): field.one(),
+                                    (2,): field.from_int(2)})
+    twist_file = tmp_path / "c5.txt"
+    twist_file.write_text(formats.format_tensor(
+        gauge_transform(identity_twist(G, field), x).J))
+    code, out, err = run_cli(capsys, "trivialize", "--twist", str(twist_file))
+    assert (code, out) == (1, "")
+    assert "no required root was found: the search is exhaustive over " \
+           "F_p, and over Q(zeta) it covers only roots of unity, " \
+           "rationals and quadratic cyclotomic numbers" in err
+
+
 def test_build_twist_from_rep_and_determinism(tmp_path, capsys):
     rep = heisenberg_rep(v4_cocycles()[1])
     rep_file = tmp_path / "rep.txt"
@@ -742,6 +785,9 @@ def test_hostile_scalar_is_a_parse_error(tmp_path, capsys, group, values):
     (("classify", "--order", "8", "--field", "cyclotomic:8"), "--field"),
     (("classify", "--order", "8", "--field", "foo"), "--field"),
     (("classify", "--order", "8", "--field", "fp:12"), "--field"),
+    (("classify", "--order", "2", "--field", "fp:13:0"), "--field"),
+    (("classify", "--order", "2", "--field", "fp:100000000000000003"),
+     "--field"),
     (("find-1cocycles", "--G", "0", "--A", "2"), "--G"),
     (("find-1cocycles", "--G", "2", "--A", str(MAX_ABELIAN_ORDER + 1)),
      "--A"),

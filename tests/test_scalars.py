@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from twistlab.scalars import (
-    Cyc, FieldSpec, Fp, PrimeField, ScalarError,
+    MAX_MODULUS, Cyc, FieldSpec, Fp, PrimeField, ScalarError,
     cyclotomic_poly, euler_phi, exact_root, iroot, make_field, mobius,
     parse_field_spec, parse_scalar, write_scalar,
 )
@@ -165,6 +165,16 @@ def test_prime_field_designated_root():
     assert min(g for g, o in orders.items() if o == 12) == 2
     f13 = PrimeField(13, 12)
     assert f13.root == 2
+
+
+def test_prime_field_refuses_bad_root_orders_and_huge_moduli():
+    for order in (0, -4):
+        with pytest.raises(ScalarError, match="not a positive divisor"):
+            PrimeField(13, order)
+    # refused before any trial division
+    with pytest.raises(ScalarError, match=f"not a prime up to {MAX_MODULUS}"):
+        PrimeField(100000000000000003)
+    assert PrimeField(2 ** 31 - 1).root == 7
 
 
 def test_prime_field_arithmetic():
