@@ -12,7 +12,9 @@ and deduplicates by explicit transport isomorphisms.
 
 For twists over abelian groups every axiom is equivalent to a family of
 scalar identities among the character transform values J^(s, t);
-AbelianTwistTable checks that battery at cubic scalar cost, which keeps
+AbelianTwistTable checks that battery with a cubic number of lookups on
+twists.ValueNames, the small-int names of the distinct transform values,
+computing each distinct scalar product once per outer index, which keeps
 order-64 scans fast.  Its character table and R-matrix lines are those of
 twists.character_table and twists.triangular_lines, which check_triangular
 also runs; the tests cross-check both against the tensor engines wherever
@@ -34,9 +36,10 @@ from .groups import (abelian_group, action_from_generator_images,
                      make_cyclic, quaternion8, symmetric, trivial_action)
 from .algebra import (AbelianCharacters, TensorElement, abelian_basis,
                       mat_rank, regular_trace)
-from .twists import (CheckReport, Twist, character_table, check_triangular,
-                     drinfeld_element, leg_span_rank, r_matrix, r_u,
-                     triangular_lines, twisted_antipode)
+from .twists import (CheckReport, Twist, ValueNames, character_table,
+                     check_triangular, cocycle_failure, drinfeld_element,
+                     leg_span_rank, r_matrix, r_u, triangular_lines,
+                     twisted_antipode)
 from .movshev import (certify_simple, count_grouplikes, dual_movshev,
                       regular_character_report)
 from .constructions import (ProjectiveRep, cocycle_of_rep, is_nondegenerate,
@@ -79,7 +82,7 @@ class AbelianTwistTable:
     gives, add is the character product, and index 0 is the trivial
     character.  Over an abelian group the twist and R-matrix axioms are
     equivalent to scalar identities among the transform values, checked
-    here at quadratic or cubic scalar cost.
+    here with a quadratic or cubic number of lookups on ValueNames.
     """
 
     def __init__(self, J):
@@ -94,13 +97,20 @@ class AbelianTwistTable:
         self._rhat = None
 
     def rhat(self):
-        """Transform of R = J21^{-1} J; needs every J^(s, t) nonzero."""
+        """Transform of R = J21^{-1} J; needs every J^(s, t) nonzero.
+
+        Each distinct value of J^ is inverted once, and each distinct
+        product computed once.
+        """
         if self._rhat is None:
-            n, jhat = self.n, self.jhat
-            if not all(all(row) for row in jhat):
+            names = ValueNames(self.field, self.jhat)
+            grid, n = names.grid, self.n
+            if any(ValueNames.ZERO in row for row in grid):
                 raise CatalogError("transform is singular, the tensor is not "
                                    "invertible")
-            self._rhat = [[jhat[t][s].inverse() * jhat[s][t]
+            inverse, product, values = \
+                names.inverse, names.product, names.values
+            self._rhat = [[values[product(inverse(grid[t][s]), grid[s][t])]
                            for t in range(n)] for s in range(n)]
         return self._rhat
 
@@ -155,12 +165,15 @@ class AbelianTwistTable:
             all(jhat[s][0] == one for s in range(n))
         report.add("counit legs", ok)
 
-        bad = _cocycle_failure(jhat, add)
+        bad = cocycle_failure(field, jhat, add)
         report.add("coproduct identity", bad is None, f"at characters {bad}")
 
         rhat = self.rhat()
         report.checks += triangular_lines(field, rhat, add)
-        uhat = [rhat[s][add[s].index(0)] for s in range(n)]
+        # u^(s) = R^(s, -s), read off J^: rhat holds values at the table's
+        # lcm conductor, and a failing trace prints at its terms' conductor
+        neg = [row.index(0) for row in add]
+        uhat = [jhat[neg[s]][s].inverse() * jhat[s][neg[s]] for s in range(n)]
         report.add("drinfeld element is the identity",
                    all(v == one for v in uhat))
         tr = sum(uhat, field.zero())
@@ -173,19 +186,6 @@ class AbelianTwistTable:
         report.add("dual center dimension", center == 1, f"dimension {center}")
         report.add("grouplike count", self.grouplike_count() == n)
         return report
-
-
-def _cocycle_failure(jhat, add):
-    """First (s, t, r) with J^(s, t) J^(s+t, r) != J^(t, r) J^(s, t+r)."""
-    n = len(jhat)
-    for s in range(n):
-        js, adds = jhat[s], add[s]
-        for t in range(n):
-            pre, row_st, row_t, addt = js[t], jhat[adds[t]], jhat[t], add[t]
-            for r in range(n):
-                if pre * row_st[r] != row_t[r] * js[addt[r]]:
-                    return s, t, r
-    return None
 
 
 # ---------------------------------------------------------------------------

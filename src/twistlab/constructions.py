@@ -28,7 +28,8 @@ from .algebra import (
     AbelianCharacters, TensorElement, StructureConstantAlgebra, mat_mul,
     mat_solve, mat_nullspace, mat_ratio,
 )
-from .twists import CheckReport, verify_twist, r_matrix, verify_minimal
+from .twists import (CheckReport, cocycle_failure, r_matrix, verify_minimal,
+                     verify_twist)
 from .movshev import dual_movshev, equivariant_iso_report
 
 
@@ -53,13 +54,16 @@ class ProjectiveRep:
 
     The cocycle c is derived from the matrix products; construction fails if
     some product is not a scalar multiple of the expected matrix.  The
-    2-cocycle identity for c follows from associativity of matrix products,
-    and is re-checked explicitly on groups small enough for the cubic sweep.
+    2-cocycle identity for c is not checked again, because associativity of
+    matrix products proves it: (pi(x) pi(y)) pi(z) = pi(x) (pi(y) pi(z))
+    reads c(x, y) c(xy, z) pi(xyz) = c(y, z) c(x, yz) pi(xyz), and pi(xyz)
+    is invertible, since every ratio is nonzero and pi(e) = I give
+    pi(g) pi(g^{-1}) = c(g, g^{-1}) I with c(g, g^{-1}) != 0.
     """
 
     __slots__ = ("group", "field", "dim", "matrices", "cocycle")
 
-    def __init__(self, group, matrices, field, validate=True):
+    def __init__(self, group, matrices, field):
         self.group = group
         self.field = field
         self.matrices = matrices
@@ -80,26 +84,19 @@ class ProjectiveRep:
                     raise ConstructionError(
                         f"products at ({group.labels[x]}, {group.labels[y]}) "
                         f"do not close projectively")
-        # a nonzero ratio at every pair also proves each matrix invertible
                 c[x][y] = ratio
         self.cocycle = c
-        if validate and n <= 16:
-            _check_cocycle_identity(group, c)
 
     def cocycle_value(self, x, y):
         return self.cocycle[x][y]
 
 
-def _check_cocycle_identity(group, c):
-    n = group.order
-    for x in range(n):
-        for y in range(n):
-            xy = group.table[x][y]
-            for z in range(n):
-                if c[x][y] * c[xy][z] != c[y][z] * c[x][group.table[y][z]]:
-                    raise ConstructionError(
-                        f"2-cocycle identity fails at ({group.labels[x]}, "
-                        f"{group.labels[y]}, {group.labels[z]})")
+def _check_cocycle_identity(group, field, c):
+    bad = cocycle_failure(field, c, group.table)
+    if bad is not None:
+        x, y, z = (group.labels[i] for i in bad)
+        raise ConstructionError(
+            f"2-cocycle identity fails at ({x}, {y}, {z})")
 
 
 class Cocycle2:
@@ -121,7 +118,7 @@ class Cocycle2:
                                             "the identity")
                 if any(not v for v in values[g]):
                     raise ConstructionError("cocycle values must be nonzero")
-            _check_cocycle_identity(group, values)
+            _check_cocycle_identity(group, field, values)
 
     @classmethod
     def from_function(cls, group, field, fn, validate=True):

@@ -636,17 +636,26 @@ class PrimeField:
         self.root = self._designated_root()
 
     def _designated_root(self):
-        """Smallest residue with multiplicative order exactly root_order."""
-        n = self.root_order
+        """Smallest residue with multiplicative order exactly root_order.
+
+        The residues of order N are the powers w^j, gcd(j, N) = 1, of any
+        one of them, w = x^((p-1)/N).  Scanning 2, 3, ... meets them with
+        density phi(N)/(p-1), so when phi(N)^2 < p-1 the phi(N) powers are
+        listed instead, and their least is the root.
+        """
+        n, p = self.root_order, self.p
         if n == 1:
             return 1
         prime_parts = list(factorize(n))
-        for g in range(2, self.p):
-            if pow(g, n, self.p) != 1:
-                continue
-            if all(pow(g, n // q, self.p) != 1 for q in prime_parts):
-                return g
-        raise ScalarError("no root of requested order found")
+
+        def exact(g):
+            return pow(g, n, p) == 1 and \
+                all(pow(g, n // q, p) != 1 for q in prime_parts)
+        if euler_phi(n) ** 2 < p - 1:
+            w = next(w for w in (pow(x, (p - 1) // n, p) for x in range(2, p))
+                     if exact(w))
+            return min(pow(w, j, p) for j in range(1, n) if gcd(j, n) == 1)
+        return next(g for g in range(2, p) if exact(g))
 
     def zero(self):
         return Fp(self.p, 0)

@@ -11,6 +11,9 @@ and u^2 = 1 certify that R and u are invertible.
 """
 from __future__ import annotations
 
+from math import lcm
+from operator import attrgetter
+
 from .scalars import ScalarError
 from .algebra import (
     AbelianCharacters, AlgebraError, TensorElement, abelian_basis,
@@ -207,9 +210,12 @@ def twisted_antipode(twist):
     """The antipode of the twisted Hopf algebra, S_J(a) = Q^{-1} S(a) Q.
 
     Q = m(S (x) I)(J); the conjugation direction matches the coproduct
-    convention Delta_J = J^{-1} Delta J.  Both antipode axioms for
-    (Delta_J, eps, S_J) are verified on every basis element before
-    returning, so a convention mismatch cannot pass silently.
+    convention Delta_J = J^{-1} Delta J.  Q is inverted in every case, so a
+    singular Q raises.  Over an abelian group k[G] is commutative and the
+    conjugation fixes S(g) = g^{-1}, which is then the image, as in
+    Twist.coproduct_basis.  Both antipode axioms for (Delta_J, eps, S_J)
+    are verified on every basis element before returning, so a convention
+    mismatch cannot pass silently.
     """
     Q = twist.J.antipode_leg(0).merge_legs(0, 1)
     try:
@@ -218,8 +224,10 @@ def twisted_antipode(twist):
         raise TwistError(f"antipode conjugator is not invertible: {exc}")
     group, field = twist.group, twist.field
     inv = group.inv
-    images = [Q_inv * TensorElement.basis(group, (inv[g],), field) * Q
-              for g in range(group.order)]
+    images = [TensorElement.basis(group, (inv[g],), field) for g in
+              range(group.order)]
+    if not twist._abelian:
+        images = [Q_inv * img * Q for img in images]
     smap = GroupAlgebraMap(group, field, images)
     unit1 = TensorElement.unit(group, 1, field)
     for g in range(group.order):
@@ -293,8 +301,8 @@ def check_triangular(group, coproduct, r):
 
     coproduct maps basis index g to a rank-2 tensor.  Checked exactly:
     invertibility, R Delta(x) = Delta_op(x) R on the basis, the two hexagon
-    identities, and R_21 R = 1 (x) 1.  triangular_lines decide them at |G|^3
-    scalar cost when the coproduct is g -> g (x) g, r has a character_table
+    identities, and R_21 R = 1 (x) 1.  triangular_lines decide them with
+    |G|^3 lookups when the coproduct is g -> g (x) g, r has a character_table
     and more than |G|^(3/2) terms (the tensor engine multiplies pairs of
     terms); otherwise, or when a line fails, the tensor engine does.
     """
@@ -367,6 +375,71 @@ def character_table(t):
     return [flat[s:s + n] for s in range(0, n * n, n)], add
 
 
+class ValueNames:
+    """Small-int names for the distinct values of a table of scalars.
+
+    A name stands for a value, not for its representation: cyclotomic
+    entries are promoted to the lcm of the table's conductors, where
+    (num, den) is unique, and residues are named by v, so Q(z_1) 1 and
+    Q(z_4) 1 share one name.  Products and inverses of values at that
+    conductor stay there.  grid holds the names of the table, and the names
+    ZERO and ONE stand for 0 and 1.  product(a, b) and inverse(a) compute a
+    value once and name it; memo maps a pair of names to the name of their
+    product, for loops that look it up before calling product.  forget()
+    drops the names and memo entries they added, which bounds memory when
+    most products are new.
+    """
+
+    __slots__ = ("values", "grid", "memo", "_key", "_ids", "_base",
+                 "_inverses")
+    ZERO, ONE = 0, 1
+
+    def __init__(self, field, rows):
+        units = [field.zero(), field.one()]
+        if field.kind == "prime":
+            self._key = attrgetter("v")
+        else:
+            m = lcm(*{v.n for row in rows for v in row})
+            rows = [[v.promote(m) for v in row] for row in rows]
+            units = [v.promote(m) for v in units]
+            self._key = attrgetter("num", "den")
+        self.values, self._ids = [], {}
+        for v in units:
+            self._name(v)
+        self.grid = [[self._name(v) for v in row] for row in rows]
+        self._base = len(self.values)
+        self.memo, self._inverses = {}, {}
+
+    def _name(self, v):
+        key = self._key(v)
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self.values)
+            self.values.append(v)
+        return i
+
+    def product(self, a, b):
+        i = self.memo.get((a, b))
+        if i is None:
+            values = self.values
+            i = self.memo[a, b] = self._name(values[a] * values[b])
+        return i
+
+    def inverse(self, a):
+        i = self._inverses.get(a)
+        if i is None:
+            i = self._inverses[a] = self._name(self.values[a].inverse())
+        return i
+
+    def forget(self):
+        key, ids = self._key, self._ids
+        for v in self.values[self._base:]:
+            del ids[key(v)]
+        del self.values[self._base:]
+        self.memo.clear()
+        self._inverses.clear()
+
+
 def triangular_lines(field, rhat, add):
     """The five check_triangular lines of R from its character table.
 
@@ -375,17 +448,22 @@ def triangular_lines(field, rhat, add):
     no R^(s, t) is zero, R_21 R = 1 is R^(t, s) R^(s, t) = 1, R commutes
     with the cocommutative coproduct, and the hexagons are
     R^(s+t, r) = R^(s, r) R^(t, r) and R^(s, t+r) = R^(s, t) R^(s, r).
+    The lines compare ValueNames, and each distinct product is computed
+    once per outer index s.
     """
-    n, one = len(rhat), field.one()
-    second = _hexagon_failure(list(zip(*rhat)), add)
+    names = ValueNames(field, rhat)
+    grid, product, n = names.grid, names.product, len(rhat)
+    zero, one = ValueNames.ZERO, ValueNames.ONE
+    second = _hexagon_failure(names, [list(col) for col in zip(*grid)], add)
     found = [
         ("R invertible", next(((s, t) for s in range(n) for t in range(n)
-                               if not rhat[s][t]), None)),
+                               if grid[s][t] == zero), None)),
         ("unitarity R_21 R = 1",
          next(((s, t) for s in range(n) for t in range(n)
-               if rhat[t][s] * rhat[s][t] != one), None)),
+               if product(grid[t][s], grid[s][t]) != one), None)),
         ("R-commutation with coproduct", None),
-        ("hexagon (Delta (x) I)R = R13 R23", _hexagon_failure(rhat, add)),
+        ("hexagon (Delta (x) I)R = R13 R23",
+         _hexagon_failure(names, grid, add)),
         # the second hexagon is the first on the transpose, at (t, r, s)
         ("hexagon (I (x) Delta)R = R13 R12",
          second and (second[2], second[0], second[1])),
@@ -394,15 +472,51 @@ def triangular_lines(field, rhat, add):
             for name, at in found]
 
 
-def _hexagon_failure(rows, add):
-    """First (s, t, r) with rows[s + t][r] != rows[s][r] rows[t][r]."""
-    n = len(rows)
+def _hexagon_failure(names, grid, add):
+    """First (s, t, r) with grid[s + t][r] != grid[s][r] grid[t][r], on the
+    names of one ValueNames."""
+    n, memo, product = len(grid), names.memo, names.product
     for s in range(n):
-        rs, adds = rows[s], add[s]
+        names.forget()
+        rs, adds = grid[s], add[s]
         for t in range(n):
-            rt, r_st = rows[t], rows[adds[t]]
+            rt, r_st = grid[t], grid[adds[t]]
             for r in range(n):
-                if r_st[r] != rs[r] * rt[r]:
+                a, b = rs[r], rt[r]
+                ab = memo.get((a, b))
+                if ab is None:
+                    ab = product(a, b)
+                if r_st[r] != ab:
+                    return s, t, r
+    return None
+
+
+def cocycle_failure(field, rows, add):
+    """First (s, t, r) with c(s, t) c(s+t, r) != c(t, r) c(s, t+r).
+
+    rows[s][t] = c(s, t) and add[s][t] is the index of s + t: the group
+    table for a 2-cocycle on a group, the character product for the
+    transform J^ of a twist on an abelian group.  The loop compares
+    ValueNames, and each distinct product is computed once per s.
+    """
+    names = ValueNames(field, rows)
+    grid, memo, product = names.grid, names.memo, names.product
+    n = len(grid)
+    for s in range(n):
+        names.forget()
+        cs, adds = grid[s], add[s]
+        for t in range(n):
+            pre, row_st, row_t, addt = cs[t], grid[adds[t]], grid[t], add[t]
+            for r in range(n):
+                a, b = row_st[r], row_t[r]
+                left = memo.get((pre, a))
+                if left is None:
+                    left = product(pre, a)
+                c = cs[addt[r]]
+                right = memo.get((b, c))
+                if right is None:
+                    right = product(b, c)
+                if left != right:
                     return s, t, r
     return None
 

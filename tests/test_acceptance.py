@@ -16,6 +16,10 @@ tensor-side engine.  At |H| = 64 the heavy certificates (battery, check_triangul
 dual algebra) run on class representatives plus two spot members per
 class, with every remaining member tied to its representative by an
 exact relabeling of tensors.
+
+One more test keeps the 2-cocycle identity as the oracle on every
+projective representation that enumeration builds at |G| = 8, 9, 12 and 16:
+ProjectiveRep derives its cocycle without checking it again.
 """
 
 import random
@@ -29,7 +33,7 @@ from twistlab.groups import make_cyclic, abelian_group, trivial_action
 from twistlab.algebra import (
     AlgebraError, TensorElement, algebra_invert, regular_trace,
 )
-from twistlab import twists
+from twistlab import catalog, twists
 from twistlab.twists import (
     TwistError, check_triangular, check_twist, drinfeld_element,
     gauge_transform, identity_twist, r_matrix, r_u,
@@ -40,9 +44,10 @@ from twistlab.movshev import (
     regular_character_report, trivialize_symmetric_twist,
 )
 from twistlab.constructions import (
-    Bijective1Cocycle, cocycle_ambient_group, cocycle_end_images,
-    cocycle_twist_tensor, compose_end_images, heisenberg_rep,
-    lift_projective, twist_from_1cocycle, twist_from_rep, verify_eq2345,
+    Bijective1Cocycle, ProjectiveRep, _check_cocycle_identity,
+    cocycle_ambient_group, cocycle_end_images, cocycle_twist_tensor,
+    compose_end_images, heisenberg_rep, lift_projective, twist_from_1cocycle,
+    twist_from_rep, verify_eq2345,
 )
 from twistlab.catalog import (
     AbelianTwistTable, admissible_primes, builtin_groups, char_p_mirror,
@@ -222,8 +227,25 @@ def battery_line(report, name, where):
 
 
 @pytest.fixture(scope="module")
-def enumerated():
-    return {N: enumerate_quadruples(N) for N in range(1, 17)}
+def catalog_reps():
+    """Every ProjectiveRep enumerate_quadruples builds, by order; the
+    enumerated fixture fills it."""
+    return {}
+
+
+@pytest.fixture(scope="module")
+def enumerated(catalog_reps):
+    out = {}
+    for N in range(1, 17):
+        built = catalog_reps[N] = []
+
+        def record(*args, built=built):
+            built.append(ProjectiveRep(*args))
+            return built[-1]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(catalog, "ProjectiveRep", record)
+            out[N] = enumerate_quadruples(N)
+    return out
 
 
 def all_data(enumerated):
@@ -552,3 +574,11 @@ def test_twist_is_independent_of_scaling_choice(capsys):
         report = movshev_iso_report(dual_movshev(t1), dual_movshev(t2),
                                     images)
         assert report.ok, report.summary()
+
+
+def test_catalog_reps_satisfy_the_cocycle_identity(enumerated, catalog_reps):
+    """The n^3 sweep ProjectiveRep no longer runs, kept as the oracle."""
+    for N in (8, 9, 12, 16):
+        assert catalog_reps[N], N
+        for rep in catalog_reps[N]:
+            _check_cocycle_identity(rep.group, rep.field, rep.cocycle)

@@ -10,7 +10,7 @@ from twistlab.groups import (abelian_group, isomorphisms, make_cyclic,
 from twistlab.algebra import TensorElement
 from twistlab import twists
 from twistlab.twists import (check_triangular, check_twist, identity_twist,
-                             leg_span_rank, r_matrix, r_u)
+                             leg_span_rank, r_matrix, r_u, verify_twist)
 from twistlab.movshev import count_grouplikes, dual_movshev
 from twistlab.constructions import (cocycle_ambient_group,
                                     cocycle_twist_tensor, is_nondegenerate,
@@ -260,6 +260,98 @@ def test_check_triangular_matches_the_tensor_engine(monkeypatch):
                     [ok for _, ok, _ in oracle.checks]
             checked += 1
     assert checked == 11
+
+
+def _scalar_cocycle_failure(jhat, add):
+    """The cocycle loop on scalars: the reference for cocycle_failure."""
+    n = len(jhat)
+    for s in range(n):
+        js, adds = jhat[s], add[s]
+        for t in range(n):
+            pre, row_st, row_t, addt = js[t], jhat[adds[t]], jhat[t], add[t]
+            for r in range(n):
+                if pre * row_st[r] != row_t[r] * js[addt[r]]:
+                    return s, t, r
+    return None
+
+
+def _scalar_hexagon_failure(rows, add):
+    n = len(rows)
+    for s in range(n):
+        rs, adds = rows[s], add[s]
+        for t in range(n):
+            rt, r_st = rows[t], rows[adds[t]]
+            for r in range(n):
+                if r_st[r] != rs[r] * rt[r]:
+                    return s, t, r
+    return None
+
+
+def _scalar_triangular_lines(field, rhat, add):
+    """The triangular_lines loops on scalars: their reference."""
+    n, one = len(rhat), field.one()
+    second = _scalar_hexagon_failure(list(zip(*rhat)), add)
+    found = [
+        ("R invertible", next(((s, t) for s in range(n) for t in range(n)
+                               if not rhat[s][t]), None)),
+        ("unitarity R_21 R = 1",
+         next(((s, t) for s in range(n) for t in range(n)
+               if rhat[t][s] * rhat[s][t] != one), None)),
+        ("R-commutation with coproduct", None),
+        ("hexagon (Delta (x) I)R = R13 R23",
+         _scalar_hexagon_failure(rhat, add)),
+        ("hexagon (I (x) Delta)R = R13 R12",
+         second and (second[2], second[0], second[1])),
+    ]
+    return [(name, at is None, "" if at is None else f"at characters {at}")
+            for name, at in found]
+
+
+def _moved(rows, field):
+    """rows with one entry off its value."""
+    out = [list(row) for row in rows]
+    s, t = len(rows) - 1, len(rows) // 2
+    out[s][t] = out[s][t] + field.one()
+    return out
+
+
+def test_named_loops_match_the_scalar_loops():
+    """cocycle_failure and triangular_lines compare value names; the scalar
+    loops must give the same lines and first witnesses on J^, R^ and
+    (R R_u)^ of every abelian finder twist with |H| <= 16, as they are and
+    with one entry moved, over Q(zeta) and over an admissible prime.
+    AbelianTwistTable.rhat, which inverts each distinct value once, must
+    equal J^(t, s)^-1 J^(s, t)."""
+    checked = failing = 0
+    for entry in finder_scan(max_order=4):
+        for data in entry.cocycles:
+            H = cocycle_ambient_group(data)
+            if not H.is_abelian():
+                continue
+            u = next((g for g in range(H.order) if H.element_order(g) == 2),
+                     H.identity)
+            for field in (CyclotomicField(),
+                          PrimeField(admissible_primes(H, 1)[0])):
+                tw = verify_twist(cocycle_twist_tensor(data, field, H))
+                r = r_matrix(tw)
+                jhat, add = twists.character_table(tw.J)
+                rhat = AbelianTwistTable(tw.J).rhat()
+                n = H.order
+                assert rhat == [[jhat[t][s].inverse() * jhat[s][t]
+                                 for t in range(n)] for s in range(n)]
+                for rows in (jhat, _moved(jhat, field)):
+                    bad = twists.cocycle_failure(field, rows, add)
+                    assert bad == _scalar_cocycle_failure(rows, add)
+                    failing += bad is not None
+                for t in (r, r * r_u(H, field, u)):
+                    table, add = twists.character_table(t)
+                    for rows in (table, _moved(table, field)):
+                        lines = twists.triangular_lines(field, rows, add)
+                        assert lines == \
+                            _scalar_triangular_lines(field, rows, add)
+                        failing += not all(ok for _, ok, _ in lines)
+                checked += 1
+    assert checked == 22 and failing == 3 * 22
 
 
 def test_check_triangular_at_64_needs_no_tensor_engine(monkeypatch):

@@ -7,8 +7,9 @@ import pytest
 
 from twistlab.scalars import (
     MAX_MODULUS, Cyc, FieldSpec, Fp, PrimeField, ScalarError,
-    cyclotomic_poly, euler_phi, exact_root, iroot, make_field, mobius,
-    parse_field_spec, parse_scalar, write_scalar,
+    cyclotomic_poly, divisors, euler_phi, exact_root, factorize, iroot,
+    is_prime, make_field, mobius, parse_field_spec, parse_scalar,
+    write_scalar,
 )
 
 
@@ -165,6 +166,29 @@ def test_prime_field_designated_root():
     assert min(g for g, o in orders.items() if o == 12) == 2
     f13 = PrimeField(13, 12)
     assert f13.root == 2
+
+
+def _scanned_root(p, n):
+    """The least residue of multiplicative order exactly n, by a walk over
+    2, 3, ...: the reference for PrimeField._designated_root."""
+    if n == 1:
+        return 1
+    for g in range(2, p):
+        if pow(g, n, p) == 1 and all(pow(g, n // q, p) != 1
+                                     for q in factorize(n)):
+            return g
+
+
+def test_designated_root_matches_the_residue_walk():
+    for p in range(2, 400):
+        if is_prime(p):
+            for n in divisors(p - 1):
+                assert PrimeField(p, n).root == _scanned_root(p, n), (p, n)
+    # the walk would pass about 2^31 residues to reach these roots
+    p = 2 ** 31 - 1
+    assert PrimeField(p, 2).root == p - 1
+    w = PrimeField(p, 3).root
+    assert pow(w, 3, p) == 1 != w and w < pow(w, 2, p)
 
 
 def test_prime_field_refuses_bad_root_orders_and_huge_moduli():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistlab.scalars import CyclotomicField
+from twistlab.scalars import Cyc, CyclotomicField
 from twistlab import twists
 from twistlab.groups import make_cyclic, abelian_group, dihedral, symmetric
 from twistlab.algebra import (
@@ -14,6 +14,7 @@ from twistlab.twists import (
     gauge_transform, r_matrix, twisted_coproduct, coassociativity_ok,
     twisted_antipode, drinfeld_element, r_u, check_triangular,
     verify_triangular, leg_span_rank, verify_minimal, GroupAlgebraMap,
+    Twist,
 )
 
 Q = CyclotomicField()
@@ -101,6 +102,45 @@ def test_klein_twist_drinfeld_element_is_identity():
     assert u == TensorElement.unit(H, 1, Q)
     # regular trace of left multiplication by u equals dim k[H]
     assert regular_trace(u) == Q.from_int(4)
+
+
+def test_abelian_twisted_antipode_is_the_conjugation():
+    """Over an abelian group S_J(g) = g^-1 is read off without conjugating;
+    Q^-1 g^-1 Q, the general formula, is the reference.  Q is still
+    inverted, so a singular Q still raises."""
+    rng = random.Random(5)
+    C2xC4 = abelian_group((2, 4))
+    klein = verify_twist(klein_twist()[1])
+    for tw in (klein,
+               gauge_transform(klein, rand_invertible(rng, klein.group)),
+               gauge_transform(identity_twist(C2xC4, Q),
+                               rand_invertible(rng, C2xC4))):
+        group = tw.group
+        conj = tw.J.antipode_leg(0).merge_legs(0, 1)
+        assert conj != TensorElement.unit(group, 1, Q)
+        conj_inv = algebra_invert(conj)
+        want = [conj_inv * TensorElement.basis(group, (group.inv[g],), Q)
+                * conj for g in range(group.order)]
+        assert twisted_antipode(tw).images == want
+    C2 = make_cyclic(2)
+    J = TensorElement(C2, 2, Q, {(0, 0): Q.one(), (1, 0): -Q.one()})
+    with pytest.raises(TwistError, match="conjugator is not invertible"):
+        twisted_antipode(Twist(J, J))
+
+
+def test_value_names_name_values_not_representations():
+    """Q(z_1) 1 and Q(z_4) 1 are one value with one name, so a table that
+    mixes them passes every character-side line."""
+    C4 = make_cyclic(4)
+    _, add = twists.character_table(TensorElement.unit(C4, 2, Q))
+    mixed = [[Cyc.from_int(1, 4) if (s + t) % 2 else Q.one()
+              for t in range(4)] for s in range(4)]
+    assert {str(v) for row in mixed for v in row} == {"Q(z_1) 1",
+                                                       "Q(z_4) 1"}
+    names = twists.ValueNames(Q, mixed)
+    assert {i for row in names.grid for i in row} == {names.ONE}
+    assert all(ok for _, ok, _ in twists.triangular_lines(Q, mixed, add))
+    assert twists.cocycle_failure(Q, mixed, add) is None
 
 
 def test_twisted_coproduct_on_abelian_base():
