@@ -37,9 +37,8 @@ from .groups import (abelian_group, action_from_generator_images,
 from .algebra import (AbelianCharacters, TensorElement, abelian_basis,
                       mat_rank, regular_trace)
 from .twists import (CheckReport, Twist, ValueNames, character_table,
-                     check_triangular, cocycle_failure, drinfeld_element,
-                     leg_span_rank, r_matrix, r_u, triangular_lines,
-                     twisted_antipode)
+                     cocycle_failure, drinfeld_element, leg_span_rank,
+                     triangular_lines, triangular_structure, twisted_antipode)
 from .movshev import (certify_simple, count_grouplikes, dual_movshev,
                       regular_character_report)
 from .constructions import (ProjectiveRep, cocycle_of_rep, is_nondegenerate,
@@ -282,16 +281,14 @@ class TriangularHopfDatum:
     records whether merging ran at all.
     """
 
-    __slots__ = ("quadruple", "field", "twist_H", "images", "twist", "r",
-                 "u_element", "reports", "certificates", "deduplicated",
-                 "class_size")
+    __slots__ = ("quadruple", "field", "twist_H", "twist", "r", "u_element",
+                 "reports", "certificates", "deduplicated", "class_size")
 
-    def __init__(self, quadruple, field, twist_H, images, twist, r,
-                 u_element, reports, certificates):
+    def __init__(self, quadruple, field, twist_H, twist, r, u_element,
+                 reports, certificates):
         self.quadruple = quadruple
         self.field = field
         self.twist_H = twist_H
-        self.images = images
         self.twist = twist
         self.r = r
         self.u_element = u_element
@@ -342,23 +339,23 @@ def realize_quadruple(q, seed=0):
     The twist of V is built on k[H] and certified there (simple dual
     algebra, regular character of the translation action), pushed into
     k[G] together with its inverse (embed_twist), then completed to
-    R = J21^{-1} J R_u.  The returned datum carries the Drinfeld element
-    together with boolean certificates and integer invariants.  Raises
-    CatalogError when the two minimality criteria disagree.
+    R = J21^{-1} J R_u, triangular by the twisting lemma
+    (twists.triangular_structure).  The returned datum carries the Drinfeld
+    element together with boolean certificates and integer invariants.
+    Raises CatalogError when the two minimality criteria disagree.
     """
     field = q.V.field
     G = q.G
     if field.characteristic and G.order % field.characteristic == 0:
         raise CatalogError("field characteristic divides the group order")
-    twist_H, images = twist_from_rep(q.V, seed=seed, with_images=True)
+    twist_H = twist_from_rep(q.V, seed=seed)
     M = dual_movshev(twist_H)
     simple = certify_simple(M)
     nh = M.group.order
     characters = regular_character_report(
         M.group, [M.action_matrix(h) for h in range(nh)], field)
     twist = embed_twist(twist_H, G, q.H.embedding)
-    r = r_matrix(twist) * r_u(G, field, q.u)
-    triangular = check_triangular(G, twist.coproduct_basis, r)
+    r, triangular = triangular_structure(twist, q.u)
     u_el = drinfeld_element(r, twisted_antipode(twist),
                             twist.coproduct_basis)
     u_ok = u_el == TensorElement.basis(G, (q.u,), field)
@@ -381,8 +378,8 @@ def realize_quadruple(q, seed=0):
         "grouplikes": count_grouplikes(twist),
         "minimal part order": len(gen),
     }
-    return TriangularHopfDatum(q, field, twist_H, images, twist, r, u_el,
-                               reports, certificates)
+    return TriangularHopfDatum(q, field, twist_H, twist, r, u_el, reports,
+                               certificates)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ import sys
 from .scalars import ScalarError, make_field, parse_field_spec
 from .groups import GroupError, abelian_group, trivial_action
 from .algebra import AlgebraError, TensorElement
-from .twists import (CheckReport, TwistError, check_triangular, check_twist,
-                     drinfeld_element, leg_span_rank, r_matrix, r_u,
-                     twisted_antipode, verify_twist)
+from .twists import (CheckReport, TwistError, check_twist, drinfeld_element,
+                     leg_span_rank, triangular_structure, twisted_antipode,
+                     verify_twist)
 from .movshev import (MovshevError, certify_simple, count_grouplikes,
                       dual_movshev, regular_character_report,
                       trivialize_symmetric_twist)
@@ -110,12 +110,10 @@ def _resolve_element(group, text):
                       f"(labels: {shown})")
 
 
-def _full_r_matrix(twist, args):
-    r = r_matrix(twist)
-    if getattr(args, "u", None):
-        u = _resolve_element(twist.group, args.u)
-        r = r * r_u(twist.group, twist.field, u)
-    return r
+def _triangular(twist, args):
+    """R = J21^{-1} J R_u with its report, by the twisting lemma."""
+    u = _resolve_element(twist.group, args.u) if args.u else None
+    return triangular_structure(twist, u)
 
 
 def _yes(flag):
@@ -135,8 +133,7 @@ def cmd_verify_twist(args):
 
 def cmd_r_matrix(args):
     twist = verify_twist(_load_twist_tensor(args))
-    r = _full_r_matrix(twist, args)
-    report = check_triangular(twist.group, twist.coproduct_basis, r)
+    r, report = _triangular(twist, args)
     doc = formats.format_tensor(r)
     rep_doc = formats.format_report(report, preamble=[("command", "r-matrix")])
     _emit(args, doc, rep_doc)
@@ -145,7 +142,7 @@ def cmd_r_matrix(args):
 
 def cmd_drinfeld(args):
     twist = verify_twist(_load_twist_tensor(args))
-    r = _full_r_matrix(twist, args)
+    r, _ = _triangular(twist, args)
     antipode = twisted_antipode(twist)
     u = drinfeld_element(r, antipode, twist.coproduct_basis)
     group, field = twist.group, twist.field
@@ -165,7 +162,7 @@ def cmd_drinfeld(args):
 
 def cmd_minimal(args):
     twist = verify_twist(_load_twist_tensor(args))
-    r = _full_r_matrix(twist, args)
+    r, _ = _triangular(twist, args)
     n = twist.group.order
     rank = leg_span_rank(twist.group, r)
     report = CheckReport(f"minimality over {twist.group.name}")
@@ -228,12 +225,9 @@ def cmd_build_twist(args):
         twist = twist_from_1cocycle(data, field=_field_of(args))
     else:
         rep = formats.parse_rep(_read(args.from_rep))
-        twist, _ = twist_from_rep(rep, seed=args.seed, with_images=True)
+        twist = twist_from_rep(rep, seed=args.seed)
     report = check_twist(twist.J)
-    r = _full_r_matrix(twist, args)
-    for item in check_triangular(twist.group, twist.coproduct_basis,
-                                 r).checks:
-        report.checks.append(item)
+    report.checks += _triangular(twist, args)[1].checks
     doc = formats.format_tensor(twist.J)
     rep_doc = formats.format_report(report,
                                     preamble=[("command", "build-twist")])
@@ -281,6 +275,9 @@ def cmd_verify_eq2345(args):
 def cmd_classify(args):
     order = _inventory_order(args.order, "--order")
     field = _field_of(args)
+    if field.characteristic and order % field.characteristic == 0:
+        raise FormatError(f"the characteristic of --field {args.field} "
+                          f"divides --order {order}")
     dedup = True if args.dedup else None
     data = enumerate_quadruples(order, field=field, dedup=dedup,
                                 seed=args.seed)

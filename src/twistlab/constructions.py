@@ -23,10 +23,10 @@ import random
 from fractions import Fraction
 
 from .scalars import CyclotomicField
-from .groups import AbelianGroup, dual_action, semidirect_product
+from .groups import dual_action, semidirect_product
 from .algebra import (
-    AbelianCharacters, TensorElement, StructureConstantAlgebra, mat_mul,
-    mat_solve, mat_nullspace, mat_ratio,
+    AbelianCharacters, TensorElement, mat_mul, mat_solve, mat_nullspace,
+    mat_ratio,
 )
 from .twists import (CheckReport, cocycle_failure, r_matrix, verify_minimal,
                      verify_twist)
@@ -132,39 +132,21 @@ def cocycle_of_rep(rep):
     return Cocycle2(rep.group, rep.field, rep.cocycle, validate=False)
 
 
-def twisted_group_algebra(group, c):
-    """The algebra with basis {X_g} and products X_g X_h = c(g,h) X_{gh}."""
-    n = group.order
-    m = [[{group.table[g][h]: c.values[g][h]} for h in range(n)]
-         for g in range(n)]
-    alg = StructureConstantAlgebra(
-        m, {group.identity: c.field.one()}, c.field,
-        labels=[f"X_{group.labels[g]}" for g in range(n)], validate=False)
-    # associativity is the cocycle identity in disguise; re-check it on the
-    # assembled structure constants as an independent route
-    alg.validate()
-    return alg
-
-
 def is_nondegenerate(group, c):
-    """Whether the twisted group algebra of c is simple (center dim 1).
+    """Whether the twisted group algebra k_c[G] is simple (center dim 1).
 
-    For abelian groups the answer is cross-checked against perfectness of
-    the alternating bicharacter b(g,h) = c(g,h)/c(h,g); any disagreement is
-    a hard error.
+    c is always a 2-cocycle here: Cocycle2 validates it, and ProjectiveRep
+    proves it by associativity.  g is c-regular when c(g, h) = c(h, g) for
+    every h commuting with g, and the c-regular conjugacy classes index a
+    basis of the center of k_c[G] over any field (Karpilovsky, Projective
+    Representations of Finite Groups, 1985).  So c is nondegenerate exactly
+    when no g != e is c-regular: n^2 lookups.
     """
-    alg = twisted_group_algebra(group, c)
-    simple = alg.center_dimension() == 1
-    if isinstance(group, AbelianGroup):
-        # scalars compare and hash by value, not by printed conductor
-        n = group.order
-        rows = {tuple(c.values[g][h] * c.values[h][g].inverse()
-                      for h in range(n)) for g in range(n)}
-        perfect = len(rows) == n
-        if perfect != simple:
-            raise ConstructionError(
-                "bicharacter perfectness disagrees with center dimension")
-    return simple
+    table, values = group.table, c.values
+    return not any(
+        all(values[g][h] == values[h][g] for h in range(group.order)
+            if table[g][h] == table[h][g])
+        for g in range(group.order) if g != group.identity)
 
 
 def lift_projective(group, field, class_map):

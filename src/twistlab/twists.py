@@ -6,8 +6,9 @@ A twist is an invertible J in k[H] (x) k[H] satisfying the cocycle identity
 Delta_J(x) = J^{-1} Delta(x) J and turns J_21^{-1} J into a triangular
 R-matrix.  Every checker here decides exact equalities and reports the first
 differing coefficient on failure.  What an identity proves is not checked
-again: a gauge transform carries its inverse in closed form, and R_21 R = 1
-and u^2 = 1 certify that R and u are invertible.
+again: a gauge transform carries its inverse in closed form, R_21 R = 1
+and u^2 = 1 certify that R and u are invertible, and an R built from a
+certified twist is triangular by the twisting lemma (triangular_structure).
 """
 from __future__ import annotations
 
@@ -279,6 +280,26 @@ def drinfeld_element(r, antipode, coproduct=None):
     return u
 
 
+def triangular_structure(twist, u=None):
+    """(R, report) for R = J_21^{-1} J R_u, triangular by the twisting lemma.
+
+    Twisting lemma: if (A, R) is triangular and J is a twist of A, then
+    (A^J, J_21^{-1} R J) is triangular for the coproduct J^{-1} Delta J.
+    Both hypotheses for A = k[G] and R = R_u are already certified:
+    - a Twist exists only through verify_twist, gauge_transform or
+      embed_twist;
+    - r_u refuses a u that is not central or does not square to e, so R_u
+      lies in k[Z(G)] (x) k[Z(G)] and J_21^{-1} R_u J = J_21^{-1} J R_u.
+    The report holds the five check_triangular lines, all passing.
+    """
+    r = r_matrix(twist)
+    if u is not None:
+        r = r * r_u(twist.group, twist.field, u)
+    report = CheckReport(f"triangular structure over {twist.group.name}")
+    report.checks = [(name, True, "") for name in TRIANGULAR_LINES]
+    return r, report
+
+
 def r_u(group, field, u):
     """R_u = (1/2)(1 (x) 1 + 1 (x) u + u (x) 1 - u (x) u) for central u, u^2 = e."""
     e = group.identity
@@ -294,6 +315,11 @@ def r_u(group, field, u):
     half = field.from_fraction(Fraction(1, 2))
     return TensorElement(group, 2, field, {
         (e, e): half, (e, u): half, (u, e): half, (u, u): -half})
+
+
+TRIANGULAR_LINES = (
+    "R invertible", "unitarity R_21 R = 1", "R-commutation with coproduct",
+    "hexagon (Delta (x) I)R = R13 R23", "hexagon (I (x) Delta)R = R13 R12")
 
 
 def check_triangular(group, coproduct, r):
@@ -319,16 +345,17 @@ def check_triangular(group, coproduct, r):
 def _tensor_triangular(group, coproduct, r):
     """check_triangular on tensors; R is inverted only if R_21 R != 1 (x) 1."""
     field = r.field
+    invertible, unitary, commutes, hexagon1, hexagon2 = TRIANGULAR_LINES
     report = CheckReport(f"triangular structure over {group.name}")
     unit2 = TensorElement.unit(group, 2, field)
     unitarity = r.swap() * r
     try:
         if unitarity != unit2:
             algebra_invert(r)
-        report.add("R invertible", True)
+        report.add(invertible, True)
     except AlgebraError as exc:
-        report.add("R invertible", False, str(exc))
-    report.add_equal("unitarity R_21 R = 1", unitarity, unit2)
+        report.add(invertible, False, str(exc))
+    report.add_equal(unitary, unitarity, unit2)
     deltas = [coproduct(g) for g in range(group.order)]
     witness = ""
     for g in range(group.order):
@@ -337,12 +364,10 @@ def _tensor_triangular(group, coproduct, r):
             k, va, vb = diff
             witness = f"x = {group.labels[g]} at {k}: {va} != {vb}"
             break
-    report.add("R-commutation with coproduct", not witness, witness)
-    report.add_equal("hexagon (Delta (x) I)R = R13 R23",
-                     _delta_on_leg(deltas.__getitem__, r, 0),
+    report.add(commutes, not witness, witness)
+    report.add_equal(hexagon1, _delta_on_leg(deltas.__getitem__, r, 0),
                      r.embed((1, 3), 3) * r.embed((2, 3), 3))
-    report.add_equal("hexagon (I (x) Delta)R = R13 R12",
-                     _delta_on_leg(deltas.__getitem__, r, 1),
+    report.add_equal(hexagon2, _delta_on_leg(deltas.__getitem__, r, 1),
                      r.embed((1, 3), 3) * r.embed((1, 2), 3))
     return report
 
@@ -456,20 +481,17 @@ def triangular_lines(field, rhat, add):
     zero, one = ValueNames.ZERO, ValueNames.ONE
     second = _hexagon_failure(names, [list(col) for col in zip(*grid)], add)
     found = [
-        ("R invertible", next(((s, t) for s in range(n) for t in range(n)
-                               if grid[s][t] == zero), None)),
-        ("unitarity R_21 R = 1",
-         next(((s, t) for s in range(n) for t in range(n)
-               if product(grid[t][s], grid[s][t]) != one), None)),
-        ("R-commutation with coproduct", None),
-        ("hexagon (Delta (x) I)R = R13 R23",
-         _hexagon_failure(names, grid, add)),
+        next(((s, t) for s in range(n) for t in range(n)
+              if grid[s][t] == zero), None),
+        next(((s, t) for s in range(n) for t in range(n)
+              if product(grid[t][s], grid[s][t]) != one), None),
+        None,
+        _hexagon_failure(names, grid, add),
         # the second hexagon is the first on the transpose, at (t, r, s)
-        ("hexagon (I (x) Delta)R = R13 R12",
-         second and (second[2], second[0], second[1])),
+        second and (second[2], second[0], second[1]),
     ]
     return [(name, at is None, "" if at is None else f"at characters {at}")
-            for name, at in found]
+            for name, at in zip(TRIANGULAR_LINES, found)]
 
 
 def _hexagon_failure(names, grid, add):

@@ -1,6 +1,7 @@
 """Document formats and the command line surface."""
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -10,11 +11,13 @@ from twistlab.groups import (MAX_ABELIAN_ORDER, abelian_group,
                              make_cyclic, symmetric, trivial_action)
 from twistlab.algebra import (TensorElement, algebra_invert, hopf_coproduct,
                               hopf_counit)
-from twistlab.twists import gauge_transform, identity_twist, verify_twist
+from twistlab.twists import (TRIANGULAR_LINES, gauge_transform,
+                             identity_twist, verify_twist)
 from twistlab.constructions import (find_bijective_1cocycles, heisenberg_rep,
                                     twist_from_1cocycle)
 from twistlab.movshev import dual_movshev
-from twistlab import formats
+from twistlab import catalog, formats, twists
+from twistlab import cli as cli_module
 from twistlab.formats import FormatError
 from twistlab.cli import main
 
@@ -746,6 +749,70 @@ def test_exit_codes_and_diagnostics(tmp_path, capsys):
     assert "cannot read" in err
 
 
+def test_built_r_matrices_are_not_checked_again(tmp_path, capsys,
+                                                monkeypatch):
+    """An R built from a certified twist is triangular by the twisting
+    lemma: no command and no catalog realization runs an R-matrix engine
+    on it, yet the reports keep their five passing lines."""
+    calls = []
+
+    def spy(name, engine):
+        def called(*args):
+            calls.append(name)
+            return engine(*args)
+        return called
+    for module in (twists, cli_module, catalog):
+        for name in ("check_triangular", "_tensor_triangular"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    spy(name, getattr(module, name)))
+    dat, twist, s3 = (str(tmp_path / f) for f in ("c.txt", "t.txt", "s3.txt"))
+    Path(s3).write_text(formats.format_tensor(gauge_twist(symmetric(3), 1, 3)))
+    run_cli(capsys, "find-1cocycles", "--G", "2,2", "--A", "2,2", "--out", dat)
+    for argv in (("build-twist", "--from-1cocycle", dat, "--index", "1",
+                  "--u", "5", "--out", twist),
+                 ("r-matrix", "--twist", twist, "--u", "10"),
+                 ("r-matrix", "--twist", s3)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        for name in TRIANGULAR_LINES:
+            assert f"check pass {name}\n" in out + err
+    for command in ("drinfeld", "minimal"):
+        assert run_cli(capsys, command, "--twist", twist, "--u", "5")[0] == 0
+    assert len(catalog.enumerate_quadruples(8)) == 19
+    assert calls == []
+
+
+def test_r_matrix_refuses_a_perturbed_twist_before_triangularity(tmp_path,
+                                                                 capsys):
+    tw = twist_from_1cocycle(v4_cocycles()[1])
+    lines = formats.format_tensor(tw.J).splitlines()
+    entry_at = next(i for i, l in enumerate(lines) if l.startswith("entry"))
+    key, _ = lines[entry_at].split(" : ")
+    lines[entry_at] = f"{key} : Q(z_1) (1/2)"
+    doc = tmp_path / "bad.txt"
+    doc.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "r-matrix", "--twist", str(doc))
+    assert (code, out) == (1, "")
+    assert "certificate failure: twist axioms" in err and "FAIL" in err
+    assert not any(name in err for name in TRIANGULAR_LINES)
+
+
+def test_u_must_be_a_central_involution(tmp_path, capsys):
+    S3 = symmetric(3)
+    doc = tmp_path / "s3.txt"
+    doc.write_text(formats.format_tensor(gauge_twist(S3, 1, 3)))
+    for command in ("r-matrix", "drinfeld", "minimal"):
+        for label, message in ((S3.labels[1], "not central"),
+                               (S3.labels[3], "does not square")):
+            code, out, err = run_cli(capsys, command, "--twist", str(doc),
+                                     "--u", label)
+            assert (code, out) == (1, "") and message in err
+        code, out, err = run_cli(capsys, command, "--twist", str(doc),
+                                 "--u", "nope")
+        assert code == 2 and "parse error: no element labelled 'nope'" in err
+
+
 @pytest.mark.parametrize("group, values", [
     pytest.param(None, values, id=", ".join(values)) for values in [
         ("Q(z_1) (1/0)",), ("Q(z_4) 1*z^7",), ("5 mod 0",),
@@ -792,6 +859,8 @@ def test_hostile_scalar_is_a_parse_error(tmp_path, capsys, group, values):
     (("find-1cocycles", "--G", "2", "--A", str(MAX_ABELIAN_ORDER + 1)),
      "--A"),
     (("classify", "--order", "40"), "--order"),
+    (("classify", "--order", "8", "--field", "fp:2"), "--field"),
+    (("classify", "--order", "9", "--field", "fp:3"), "--order"),
     (("catalog", "list", "--max-order", "40"), "--max-order"),
     (("catalog", "list", "--max-order", "0"), "--max-order"),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)

@@ -6,7 +6,8 @@ from twistlab.scalars import CyclotomicField
 from twistlab.groups import (
     make_cyclic, abelian_group, trivial_action, action_from_generator_images,
 )
-from twistlab.algebra import AlgebraError, TensorElement
+from twistlab.algebra import (AlgebraError, StructureConstantAlgebra,
+                              TensorElement)
 from twistlab.twists import (
     r_matrix, verify_minimal, twisted_antipode, drinfeld_element,
     verify_triangular,
@@ -14,9 +15,12 @@ from twistlab.twists import (
 from twistlab.movshev import (
     dual_movshev, certify_simple, equivariant_iso_report, movshev_iso_report,
 )
+from twistlab.catalog import (abelian_coordinates, all_subgroups,
+                              alternating_bicharacters, builtin_groups,
+                              rep_from_bicharacter)
 from twistlab.constructions import (
     ConstructionError, ProjectiveRep, Cocycle2, cocycle_of_rep,
-    twisted_group_algebra, is_nondegenerate, lift_projective, twist_from_rep,
+    is_nondegenerate, lift_projective, twist_from_rep,
     compose_end_images, Bijective1Cocycle, check_bijective_1cocycle,
     find_bijective_1cocycles, cocycle_ambient_group, twist_from_1cocycle,
     heisenberg_rep, commutant_dimension, cocycle_end_images, verify_eq2345,
@@ -115,6 +119,77 @@ def test_one_dimensional_reps_are_degenerate_whatever_the_conductor():
             for c in units:
                 rep = ProjectiveRep(V4, [[[Q.one()]], [[a]], [[b]], [[c]]], Q)
                 assert not is_nondegenerate(V4, cocycle_of_rep(rep))
+
+
+def twisted_group_algebra(group, c):
+    """The algebra with basis {X_g} and products X_g X_h = c(g,h) X_{gh}."""
+    n = group.order
+    m = [[{group.table[g][h]: c.values[g][h]} for h in range(n)]
+         for g in range(n)]
+    alg = StructureConstantAlgebra(
+        m, {group.identity: c.field.one()}, c.field,
+        labels=[f"X_{group.labels[g]}" for g in range(n)], validate=False)
+    # associativity is the cocycle identity in disguise; re-check it on the
+    # assembled structure constants as an independent route
+    alg.validate()
+    return alg
+
+
+def nondegenerate_by_algebra(group, c):
+    """The algebra route, the oracle of is_nondegenerate: k_c[G] is simple.
+
+    On an abelian group the answer is cross-checked against perfectness of
+    the alternating bicharacter b(g, h) = c(g, h)/c(h, g).
+    """
+    simple = twisted_group_algebra(group, c).center_dimension() == 1
+    if group.is_abelian():
+        # scalars compare and hash by value, not by printed conductor
+        n = group.order
+        rows = {tuple(c.values[g][h] * c.values[h][g].inverse()
+                      for h in range(n)) for g in range(n)}
+        assert (len(rows) == n) == simple
+    return simple
+
+
+def test_is_nondegenerate_matches_the_algebra_route():
+    """The c-regular count against the center dimension of k_c[G], on the
+    trivial cocycle of every inventory group of order 4, 8, 9, 12 and 16
+    and on every bicharacter representation of their abelian subgroups.
+    On nonabelian groups only the h commuting with g may count: a
+    coboundary b(g) b(h) / b(gh) is degenerate, yet it takes different
+    values at (g, h) and (h, g) when gh != hg; and the Heisenberg
+    representation of V4 acting on Z/4 is nondegenerate on a nonabelian
+    group."""
+    cases = []
+    for G in builtin_groups(16):
+        if G.order not in (4, 8, 9, 12, 16):
+            continue
+        cases.append((G, Cocycle2.from_function(G, Q, lambda g, h: Q.one())))
+        for members in all_subgroups(G):
+            sub = G.subgroup(members)
+            if len(members) not in (4, 9, 16) or not sub.is_abelian():
+                continue
+            coords = abelian_coordinates(sub)
+            for E in alternating_bicharacters(coords[0]):
+                rep = rep_from_bicharacter(sub, coords, E, Q)
+                cases.append((sub, cocycle_of_rep(rep)))
+    verdicts = [is_nondegenerate(G, c) for G, c in cases]
+    assert verdicts == [nondegenerate_by_algebra(G, c) for G, c in cases]
+    assert (verdicts.count(True), verdicts.count(False)) == (110, 21)
+
+    nonabelian = [G for G in builtin_groups(12) if not G.is_abelian()]
+    for G in nonabelian:
+        b = [Q.one() if g == G.identity else Q.from_int(g + 2)
+             for g in range(G.order)]
+        c = Cocycle2.from_function(
+            G, Q, lambda g, h: b[g] * b[h] * b[G.table[g][h]].inverse())
+        assert not is_nondegenerate(G, c)
+        assert not nondegenerate_by_algebra(G, c)
+    assert len(nonabelian) == 6
+    rep = heisenberg_rep(v4_on_z4_data())
+    assert not rep.group.is_abelian()
+    assert is_nondegenerate(rep.group, cocycle_of_rep(rep))
+    assert nondegenerate_by_algebra(rep.group, cocycle_of_rep(rep))
 
 
 def test_twisted_group_algebra():

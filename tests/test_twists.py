@@ -5,17 +5,20 @@ import pytest
 
 from twistlab.scalars import Cyc, CyclotomicField
 from twistlab import twists
-from twistlab.groups import make_cyclic, abelian_group, dihedral, symmetric
+from twistlab.groups import (make_cyclic, abelian_group, alternating4,
+                             dihedral, symmetric)
 from twistlab.algebra import (
-    TensorElement, AlgebraError, algebra_invert, regular_trace,
+    TensorElement, AlgebraError, algebra_invert, hopf_counit, regular_trace,
 )
 from twistlab.twists import (
     TwistError, first_difference, check_twist, verify_twist, identity_twist,
     gauge_transform, r_matrix, twisted_coproduct, coassociativity_ok,
     twisted_antipode, drinfeld_element, r_u, check_triangular,
     verify_triangular, leg_span_rank, verify_minimal, GroupAlgebraMap,
-    Twist,
+    Twist, TRIANGULAR_LINES, triangular_structure,
 )
+from twistlab.constructions import twist_from_1cocycle
+from twistlab.catalog import enumerate_quadruples, finder_scan
 
 Q = CyclotomicField()
 HALF = Q.from_fraction(Fraction(1, 2))
@@ -194,7 +197,6 @@ def test_gauge_conjugates_r_matrix_and_preserves_minimality():
     t = verify_twist(J)
     r = r_matrix(t)
     x = rand_invertible(rng, H)
-    from twistlab.algebra import hopf_counit
     x = x.scale(hopf_counit(x).inverse())
     tx = gauge_transform(t, x)
     xx = x.outer(x)
@@ -338,3 +340,68 @@ def test_zero_divisor_r_matrix_is_still_inverted(monkeypatch):
         ("hexagon (I (x) Delta)R = R13 R12", False,
          "at (0, 1, 1): Q(z_1) 0 != Q(z_1) 1"),
     ]
+
+
+def central_involutions(G):
+    return [u for u in range(G.order) if G.table[u][u] == G.identity
+            and all(G.table[u][g] == G.table[g][u] for g in range(G.order))]
+
+
+def assert_lemma_matches_check_triangular(tw, where):
+    """triangular_structure against check_triangular on the R it returns,
+    without u and with every central involution u of the group."""
+    G = tw.group
+    for u in [None] + central_involutions(G):
+        r, report = triangular_structure(tw, u)
+        want = r_matrix(tw)
+        if u is not None:
+            want = want * r_u(G, tw.field, u)
+        assert r == want, (where, u)
+        oracle = check_triangular(G, tw.coproduct_basis, r)
+        assert oracle.ok, (where, u, oracle.summary())
+        assert report.summary() == oracle.summary(), (where, u)
+        assert report.checks == oracle.checks, (where, u)
+        assert [n for n, _, _ in report.checks] == list(TRIANGULAR_LINES)
+
+
+def gauge(tw, s, t):
+    """The gauge of tw by x = 4e + s + 2t, rescaled to counit 1."""
+    G = tw.group
+    x = TensorElement(G, 1, Q, {(G.identity,): Q.from_int(4),
+                                (s,): Q.from_int(1), (t,): Q.from_int(2)})
+    return gauge_transform(tw, x.scale(hopf_counit(x).inverse()))
+
+
+def test_lemma_route_matches_check_triangular_on_finder_and_gauge_twists():
+    checked = 0
+    for entry in finder_scan(max_order=4):
+        for pos, data in enumerate(entry.cocycles):
+            tw = twist_from_1cocycle(data)
+            if tw.group.is_abelian():
+                assert_lemma_matches_check_triangular(tw, (entry.label, pos))
+                checked += 1
+    assert checked == 11
+    for G in (symmetric(3), dihedral(4), alternating4()):
+        s, t = G.generating_sequence()
+        assert_lemma_matches_check_triangular(
+            gauge(identity_twist(G, Q), s, t), G.name)
+
+
+def test_lemma_route_matches_check_triangular_on_catalog_data():
+    """Every distinct twist of the catalog at orders 8, 9 and 12, and a
+    gauge of each nonabelian one at order 8, whose coproduct and R are
+    then both far from the group's."""
+    twists_seen = []
+    for order in (8, 9, 12):
+        for datum in enumerate_quadruples(order):
+            tw = datum.twist
+            if any(tw.J == other.J for other in twists_seen):
+                continue
+            twists_seen.append(tw)
+            where = (datum.quadruple.G.name, len(datum.quadruple.members))
+            assert_lemma_matches_check_triangular(tw, where)
+            if order == 8 and not tw.group.is_abelian() and \
+                    len(datum.quadruple.members) > 1:
+                s, t = tw.group.generating_sequence()
+                assert_lemma_matches_check_triangular(gauge(tw, s, t), where)
+    assert len(twists_seen) == 18
