@@ -373,7 +373,7 @@ def realize_quadruple(q, seed=0):
         "drinfeld trace": trace_ok,
         "minimal": leg_rank == G.order,
         "solvable": solvable,
-        "center dimension": M.algebra.center_dimension(),
+        "center dimension": simple.center,
         "leg rank": leg_rank,
         "grouplikes": count_grouplikes(twist),
         "minimal part order": len(gen),

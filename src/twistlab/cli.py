@@ -226,7 +226,7 @@ def cmd_build_twist(args):
     else:
         rep = formats.parse_rep(_read(args.from_rep))
         twist = twist_from_rep(rep, seed=args.seed)
-    report = check_twist(twist.J)
+    report = twist.report()
     report.checks += _triangular(twist, args)[1].checks
     doc = formats.format_tensor(twist.J)
     rep_doc = formats.format_report(report,

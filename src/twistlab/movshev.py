@@ -2,11 +2,11 @@
 
 A twist J on k[H] makes k[H] a coalgebra with coproduct D(x) = (x (x) x) J.
 The dual is an |H|-dimensional algebra B with basis {Y_x}; H acts on it by
-translating indices, and for minimal twists B is a matrix algebra.  This
-module builds B, certifies simplicity and the regular-character property,
-counts grouplikes of twisted group algebras, trivializes symmetric twists
-over abelian groups, and matches B against projective representations by
-H-equivariant algebra isomorphisms.
+translating indices, by automorphisms for every J, and for minimal twists B
+is a matrix algebra.  This module builds B, certifies simplicity and the
+regular-character property, counts grouplikes of twisted group algebras,
+trivializes symmetric twists over abelian groups, and matches B against
+projective representations by H-equivariant algebra isomorphisms.
 
 All spectral work is done through exact character arithmetic: abelian
 characters and their transforms (algebra.AbelianCharacters), and k-th
@@ -17,6 +17,8 @@ routines raise rather than approximate.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from math import gcd
 
 from .scalars import Cyc, Fp, euler_phi, exact_root, divisors, factorize
 from .groups import AbelianGroup
@@ -73,36 +75,31 @@ class MovshevAlgebra:
         return mat
 
 
-def dual_movshev(twist, validate=False):
+def dual_movshev(twist):
     """B = (k[H], D)^* with basis {Y_x}; H acts by h.Y_x = Y_{hx}.
 
-    The action is verified to consist of algebra automorphisms.  Full
-    associativity validation (equivalent to coassociativity of D, hence to
-    the twist axioms) is optional since the twist is already verified.
+    build_BJ multiplies (c (x) c) into J on the left, so the structure
+    constants are m[a][b][c] = J(c^-1 a, c^-1 b), and m[ha][hb][hc] =
+    m[a][b][c] for every h and every tensor J: translation is an algebra
+    automorphism by construction, and nothing checks it again.  B is
+    associative because the twist is certified (coassociativity of D);
+    StructureConstantAlgebra.validate checks that on demand.
     """
     group, field = twist.group, twist.field
     rows, counit = build_BJ(twist)
     labels = [f"Y_{group.labels[x]}" for x in range(group.order)]
     alg = dualize_coalgebra(rows, counit, field, labels=labels,
-                            validate=validate)
-    table = group.table
-    m = alg.m
-    for h in range(group.order):
-        row = table[h]
-        for a in range(group.order):
-            for b in range(group.order):
-                moved = {row[c]: v for c, v in m[a][b].items()}
-                if m[row[a]][row[b]] != moved:
-                    raise MovshevError(
-                        f"translation by {group.labels[h]} is not an "
-                        f"algebra automorphism")
+                            validate=False)
     return MovshevAlgebra(group, field, alg, rows)
 
 
 def certify_simple(M):
-    """Center dimension 1 and square dimension: the marks of a matrix algebra."""
+    """Center dimension 1 and square dimension: the marks of a matrix algebra.
+
+    The report keeps the center dimension as report.center.
+    """
     report = CheckReport(f"simplicity of the dual algebra over {M.group.name}")
-    center = M.algebra.center_dimension()
+    center = report.center = M.algebra.center_dimension()
     report.add("center dimension 1", center == 1, f"center dimension {center}")
     root = exact_root(M.dim, 2)
     report.add("dimension is a perfect square", root is not None,
@@ -178,7 +175,6 @@ def rational_poly_roots(coeffs):
 
     coeffs[i] is the coefficient of T^i.
     """
-    from math import gcd
     den = 1
     for c in coeffs:
         den = den * Fraction(c).denominator // gcd(den, Fraction(c).denominator)
@@ -274,7 +270,7 @@ def _quadratic_field_kth_root(v, k):
     recovered from the quadratic it satisfies.
     """
     N = v.n
-    conj_exp = next(c for c in range(2, N) if _coprime(c, N))
+    conj_exp = next(c for c in range(2, N) if gcd(c, N) == 1)
     vb = v.galois(conj_exp)
     tr_v = v + vb
     nm_v = v * vb
@@ -315,11 +311,6 @@ def _quadratic_field_kth_root(v, k):
                 if t ** k == v:
                     return t
     return None
-
-
-def _coprime(a, b):
-    from math import gcd
-    return gcd(a, b) == 1
 
 
 def kth_root_scalar(v, k, field):
@@ -465,17 +456,42 @@ def trivialize_symmetric_twist(twist):
 # ---------------------------------------------------------------------------
 # equivariant matching against projective representations
 
+def _iso_lines(report, group, mult_fails, equi_fails):
+    """Add the "multiplicative" and "equivariant" lines of a linear map phi
+    from the Movshev dual B over group to an algebra A that H acts on.
+
+    mult_fails(a, b) returns a witness where phi(Y_a Y_b) != phi(Y_a)
+    phi(Y_b), equi_fails(h, x) one where phi(Y_hx) != h.phi(Y_x), and a
+    false value otherwise.  The actions compose, so equivariance is checked
+    on group.generating_sequence() only.  H acts by automorphisms on B
+    (translation, dual_movshev) and on A (translation on a Movshev dual,
+    conjugation by the matrices of a projective representation on
+    End(V)), so with equivariance
+    phi(Y_a Y_b) = a.phi(Y_e Y_{a^-1 b}) = phi(Y_a) phi(Y_b) whenever
+    multiplicativity holds at (e, a^-1 b): the pairs (e, b) suffice.  When
+    equivariance fails, every pair is checked.
+    """
+    n = group.order
+    equi = next(filter(None, (equi_fails(h, x)
+                              for h in group.generating_sequence()
+                              for x in range(n))), "")
+    pairs = (((a, b) for a in range(n) for b in range(n)) if equi
+             else ((group.identity, b) for b in range(n)))
+    mult = next(filter(None, (mult_fails(a, b) for a, b in pairs)), "")
+    report.add("multiplicative", not mult, mult)
+    report.add("equivariant", not equi, equi)
+
+
 def equivariant_iso_report(M, rep, images):
     """Certify images: Y_x -> End(V) as a unital H-equivariant algebra iso.
 
     images[x] is a dim x dim matrix over the field.  Checks: linearity data
-    has full rank (bijection), unit goes to the identity, multiplicativity
-    on all basis pairs, and equivariance against conjugation by the lifted
-    matrices of rep.
+    has full rank (bijection), unit goes to the identity, then
+    multiplicativity and equivariance against conjugation by the lifted
+    matrices of rep, on the pairs that _iso_lines names.
     """
     group, field = M.group, M.field
-    n = group.order
-    d = rep.dim
+    n, d, labels = group.order, rep.dim, group.labels
     report = CheckReport(
         f"equivariant isomorphism onto End(V), dim V = {d}")
     report.add("dimension match", d * d == n,
@@ -486,44 +502,33 @@ def equivariant_iso_report(M, rep, images):
             for x in range(n)]
     report.add("linear bijection", mat_rank(flat, d * d) == n,
                "images do not span End(V)")
-    unit_img = [[field.zero()] * d for _ in range(d)]
-    for x, v in M.algebra.unit.items():
-        for i in range(d):
-            for j in range(d):
-                unit_img[i][j] = unit_img[i][j] + v * images[x][i][j]
+
+    def image(vec):
+        out = [[field.zero()] * d for _ in range(d)]
+        for c, v in vec.items():
+            for i in range(d):
+                for j in range(d):
+                    out[i][j] = out[i][j] + v * images[c][i][j]
+        return out
+
     ident = [[field.one() if i == j else field.zero() for j in range(d)]
              for i in range(d)]
-    report.add("unital", unit_img == ident, "unit does not map to identity")
-    mult_ok, witness = True, ""
-    for a in range(n):
-        for b in range(n):
-            prod = mat_mul(images[a], images[b], field)
-            want = [[field.zero()] * d for _ in range(d)]
-            for c, v in M.algebra.m[a][b].items():
-                for i in range(d):
-                    for j in range(d):
-                        want[i][j] = want[i][j] + v * images[c][i][j]
-            if prod != want:
-                mult_ok = False
-                witness = f"at pair ({group.labels[a]}, {group.labels[b]})"
-                break
-        if not mult_ok:
-            break
-    report.add("multiplicative", mult_ok, witness)
-    inv_mats = [mat_inverse(rep.matrices[h], field) for h in range(n)]
-    equi_ok, witness = True, ""
-    for h in range(n):
-        for a in range(n):
-            lhs = images[group.table[h][a]]
-            rhs = mat_mul(mat_mul(rep.matrices[h], images[a], field),
-                          inv_mats[h], field)
-            if lhs != rhs:
-                equi_ok = False
-                witness = f"at (h, x) = ({group.labels[h]}, {group.labels[a]})"
-                break
-        if not equi_ok:
-            break
-    report.add("equivariant", equi_ok, witness)
+    report.add("unital", image(M.algebra.unit) == ident,
+               "unit does not map to identity")
+
+    def mult_fails(a, b):
+        return mat_mul(images[a], images[b], field) != \
+            image(M.algebra.m[a][b]) and f"at pair ({labels[a]}, {labels[b]})"
+
+    inverse = cache(lambda h: mat_inverse(rep.matrices[h], field))
+
+    def equi_fails(h, x):
+        rhs = mat_mul(mat_mul(rep.matrices[h], images[x], field),
+                      inverse(h), field)
+        return images[group.table[h][x]] != rhs and \
+            f"at (h, x) = ({labels[h]}, {labels[x]})"
+
+    _iso_lines(report, group, mult_fails, equi_fails)
     return report
 
 
@@ -666,50 +671,36 @@ def gauge_movshev_images(twist, x):
 
 def movshev_iso_report(M1, M2, images):
     """Certify images: M1 -> M2 (dict vectors per basis index) as an
-    H-equivariant unital algebra isomorphism."""
+    H-equivariant unital algebra isomorphism, on the pairs that _iso_lines
+    names."""
     group, field = M1.group, M1.field
-    n = group.order
+    n, labels, table = group.order, group.labels, group.table
     report = CheckReport("equivariant isomorphism of dual algebras")
     report.add("dimension match", M2.dim == n, "")
     zero = field.zero()
     flat = [[images[x].get(j, zero) for j in range(n)] for x in range(n)]
     report.add("linear bijection", mat_rank(flat, n) == n, "")
-    unit_img = {}
-    for x, v in M1.algebra.unit.items():
-        for j, w in images[x].items():
-            cur = unit_img.get(j, zero)
-            unit_img[j] = cur + v * w
-    unit_img = {k: v for k, v in unit_img.items() if v}
-    report.add("unital", unit_img == M2.algebra.unit, "")
-    ok, witness = True, ""
-    for a in range(n):
-        for b in range(n):
-            lhs = M2.algebra.mult_vec(images[a], images[b])
-            rhs = {}
-            for c, v in M1.algebra.m[a][b].items():
-                for j, w in images[c].items():
-                    cur = rhs.get(j, zero)
-                    s = cur + v * w
-                    if s:
-                        rhs[j] = s
-                    elif j in rhs:
-                        del rhs[j]
-            if lhs != rhs:
-                ok, witness = False, f"at ({group.labels[a]}, {group.labels[b]})"
-                break
-        if not ok:
-            break
-    report.add("multiplicative", ok, witness)
-    table = group.table
-    ok, witness = True, ""
-    for h in range(n):
-        for a in range(n):
-            lhs = images[table[h][a]]
-            rhs = {table[h][j]: v for j, v in images[a].items()}
-            if lhs != rhs:
-                ok, witness = False, f"at ({group.labels[h]}, {group.labels[a]})"
-                break
-        if not ok:
-            break
-    report.add("equivariant", ok, witness)
+
+    def image(vec):
+        out = {}
+        for c, v in vec.items():
+            for j, w in images[c].items():
+                s = out.get(j, zero) + v * w
+                if s:
+                    out[j] = s
+                else:
+                    out.pop(j, None)
+        return out
+
+    report.add("unital", image(M1.algebra.unit) == M2.algebra.unit, "")
+
+    def mult_fails(a, b):
+        return M2.algebra.mult_vec(images[a], images[b]) != \
+            image(M1.algebra.m[a][b]) and f"at ({labels[a]}, {labels[b]})"
+
+    def equi_fails(h, x):
+        rhs = {table[h][j]: v for j, v in images[x].items()}
+        return images[table[h][x]] != rhs and f"at ({labels[h]}, {labels[x]})"
+
+    _iso_lines(report, group, mult_fails, equi_fails)
     return report

@@ -17,9 +17,11 @@ dual algebra) run on class representatives plus two spot members per
 class, with every remaining member tied to its representative by an
 exact relabeling of tensors.
 
-One more test keeps the 2-cocycle identity as the oracle on every
+Two more tests keep oracles.  The 2-cocycle identity runs on every
 projective representation that enumeration builds at |G| = 8, 9, 12 and 16:
-ProjectiveRep derives its cocycle without checking it again.
+ProjectiveRep derives its cocycle without checking it again.  The full
+multiplicativity and equivariance loops run on every input of criteria 4,
+11 and 12: the isomorphism reports check generators and the pairs (e, b).
 """
 
 import random
@@ -40,8 +42,8 @@ from twistlab.twists import (
     twisted_antipode, verify_twist,
 )
 from twistlab.movshev import (
-    certify_simple, count_grouplikes, dual_movshev, movshev_iso_report,
-    regular_character_report, trivialize_symmetric_twist,
+    certify_simple, count_grouplikes, dual_movshev, equivariant_iso_report,
+    movshev_iso_report, regular_character_report, trivialize_symmetric_twist,
 )
 from twistlab.constructions import (
     Bijective1Cocycle, ProjectiveRep, _check_cocycle_identity,
@@ -54,6 +56,7 @@ from twistlab.catalog import (
     dual_automorphism_perm, enumerate_quadruples, finder_scan,
     is_minimal_datum, relabel_tensor, transport_twist_perm,
 )
+from test_movshev import dual_iso_oracle, end_iso_oracle, iso_lines
 
 Q = CyclotomicField()
 
@@ -539,26 +542,33 @@ def test_prime_field_mirrors_agree(enumerated, capsys):
                 assert mirror.field.characteristic == p, where
 
 
-def test_cocycle_and_rep_twists_match(scan8, capsys):
+@pytest.fixture(scope="module")
+def twist_pairs(scan8):
+    """(where, dual of the 1-cocycle twist, dual of the representation
+    twist, candidate images) for every found cocycle with |G| <= 4."""
+    out = []
+    for entry in scan8:
+        if entry.G.order > 4:
+            continue
+        for pos, data in enumerate(entry.cocycles):
+            H = cocycle_ambient_group(data)
+            t1 = twist_from_1cocycle(data, Q, H)
+            rep = heisenberg_rep(data, Q, H)
+            t2, images2 = twist_from_rep(rep, with_images=True)
+            images1 = cocycle_end_images(data, Q)
+            out.append((f"{entry.label}, cocycle {pos}", dual_movshev(t1),
+                        dual_movshev(t2),
+                        compose_end_images(images1, images2, Q)))
+    return out
+
+
+def test_cocycle_and_rep_twists_match(twist_pairs, capsys):
     with criterion(capsys, 11, "the 1-cocycle twist and the representation twist "
                                "give equivariantly isomorphic dual algebras"):
-        count = 0
-        for entry in scan8:
-            if entry.G.order > 4:
-                continue
-            for pos, data in enumerate(entry.cocycles):
-                where = f"{entry.label}, cocycle {pos}"
-                H = cocycle_ambient_group(data)
-                t1 = twist_from_1cocycle(data, Q, H)
-                rep = heisenberg_rep(data, Q, H)
-                t2, images2 = twist_from_rep(rep, with_images=True)
-                images1 = cocycle_end_images(data, Q)
-                images = compose_end_images(images1, images2, Q)
-                report = movshev_iso_report(dual_movshev(t1),
-                                            dual_movshev(t2), images)
-                assert report.ok, f"{where}:\n{report.summary()}"
-                count += 1
-        assert count == 13
+        for where, M1, M2, images in twist_pairs:
+            report = movshev_iso_report(M1, M2, images)
+            assert report.ok, f"{where}:\n{report.summary()}"
+        assert len(twist_pairs) == 13
 
 
 def test_twist_is_independent_of_scaling_choice(capsys):
@@ -582,3 +592,32 @@ def test_catalog_reps_satisfy_the_cocycle_identity(enumerated, catalog_reps):
         assert catalog_reps[N], N
         for rep in catalog_reps[N]:
             _check_cocycle_identity(rep.group, rep.field, rep.cocycle)
+
+
+def test_iso_reports_match_the_full_loops(finder_records, twist_pairs):
+    """On every input of criteria 4, 11 and 12, the multiplicative and
+    equivariant lines, which check generators and the pairs (e, b), agree
+    with the n^2 and all-h loops they replaced."""
+    eq2345 = [e1_data()] + [e2_data(n) for n in range(2, 7)]
+    spots = {}
+    for rec in finder_records:
+        if rec.data.G.order <= 6 or rec.is_representative:
+            eq2345.append(rec.data)
+        elif spots.get(rec.entry_label, 0) < 2:
+            spots[rec.entry_label] = spots.get(rec.entry_label, 0) + 1
+            eq2345.append(rec.data)
+    for data in eq2345:
+        H = cocycle_ambient_group(data)
+        M = dual_movshev(twist_from_1cocycle(data, Q, H))
+        rep, images = heisenberg_rep(data, Q, H), cocycle_end_images(data, Q)
+        bad, equi = end_iso_oracle(M, rep, images)
+        report = equivariant_iso_report(M, rep, images)
+        assert iso_lines(report) == (not bad, equi) == (True, True), H.name
+    t1, images1 = twist_from_rep(pauli_rep(), seed=0, with_images=True)
+    t2, images2 = twist_from_rep(pauli_rep(), seed=7, with_images=True)
+    scaling = ("scaling choices", dual_movshev(t1), dual_movshev(t2),
+               compose_end_images(images1, images2, Q))
+    for where, M1, M2, images in twist_pairs + [scaling]:
+        bad, equi = dual_iso_oracle(M1, M2, images)
+        report = movshev_iso_report(M1, M2, images)
+        assert iso_lines(report) == (not bad, equi) == (True, True), where

@@ -11,7 +11,7 @@ from twistlab.groups import (MAX_ABELIAN_ORDER, abelian_group,
                              make_cyclic, symmetric, trivial_action)
 from twistlab.algebra import (TensorElement, algebra_invert, hopf_coproduct,
                               hopf_counit)
-from twistlab.twists import (TRIANGULAR_LINES, gauge_transform,
+from twistlab.twists import (TRIANGULAR_LINES, TWIST_LINES, gauge_transform,
                              identity_twist, verify_twist)
 from twistlab.constructions import (find_bijective_1cocycles, heisenberg_rep,
                                     twist_from_1cocycle)
@@ -781,6 +781,29 @@ def test_built_r_matrices_are_not_checked_again(tmp_path, capsys,
         assert run_cli(capsys, command, "--twist", twist, "--u", "5")[0] == 0
     assert len(catalog.enumerate_quadruples(8)) == 19
     assert calls == []
+
+
+def test_built_twists_are_not_checked_again(tmp_path, capsys, monkeypatch):
+    """build-twist reports the four twist lines of the Twist that
+    twist_from_1cocycle or twist_from_rep certified: check_twist runs once
+    per build, inside verify_twist."""
+    calls = []
+    for module in (twists, cli_module):
+        check = module.check_twist
+        monkeypatch.setattr(module, "check_twist",
+                            lambda J, check=check: calls.append(J) or check(J))
+    dat, rep = (tmp_path / f for f in ("c.txt", "rep.txt"))
+    run_cli(capsys, "find-1cocycles", "--G", "2,2", "--A", "2,2", "--out",
+            str(dat))
+    rep.write_text(formats.format_rep(heisenberg_rep(v4_cocycles()[1])))
+    for source in (("--from-1cocycle", str(dat), "--index", "1"),
+                   ("--from-rep", str(rep))):
+        code, out, err = run_cli(capsys, "build-twist", *source, "--out",
+                                 str(tmp_path / "t.txt"))
+        assert code == 0, err
+        for name in TWIST_LINES:
+            assert f"check pass {name}\n" in out
+    assert len(calls) == 2
 
 
 def test_r_matrix_refuses_a_perturbed_twist_before_triangularity(tmp_path,

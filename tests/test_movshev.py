@@ -5,12 +5,15 @@ from types import SimpleNamespace
 import pytest
 
 from twistlab.scalars import Cyc, CyclotomicField, PrimeField
-from twistlab.groups import make_cyclic, abelian_group, symmetric
+from twistlab.groups import (make_cyclic, abelian_group, alternating4,
+                             dihedral, symmetric)
 from twistlab.algebra import (
     AbelianCharacters, TensorElement, AlgebraError, algebra_invert,
-    hopf_coproduct,
+    hopf_coproduct, hopf_counit, mat_inverse, mat_mul,
 )
 from twistlab.twists import verify_twist, identity_twist, gauge_transform
+from twistlab.constructions import twist_from_1cocycle
+from twistlab.catalog import enumerate_quadruples, finder_scan
 from twistlab.movshev import (
     MovshevError, build_BJ, dual_movshev, certify_simple,
     regular_character_report, certify_regular_action, count_grouplikes,
@@ -60,7 +63,8 @@ def pauli_rep():
 def test_dual_of_identity_twist_is_function_algebra():
     G = make_cyclic(3)
     t = identity_twist(G, Q)
-    M = dual_movshev(t, validate=True)
+    M = dual_movshev(t)
+    M.algebra.validate()
     assert M.dim == 3
     one = Q.one()
     for a in range(3):
@@ -77,7 +81,8 @@ def test_dual_of_identity_twist_is_function_algebra():
 def test_klein_dual_matches_closed_form():
     H, J = klein_twist()
     t = verify_twist(J)
-    M = dual_movshev(t, validate=True)
+    M = dual_movshev(t)
+    M.algebra.validate()
     # frozen spot value: Y_b Y_g = -(1/2) Y_e
     assert M.algebra.m[2][1] == {0: -HALF}
     # full table: Y_(b2,g2) Y_(b1,g1) = 1/2 (-1)^((g1+g2)(b1+b2)) Y_(b1,g2)
@@ -91,6 +96,54 @@ def test_klein_dual_matches_closed_form():
                     sign = (-1) ** ((g1 + g2) * (b1 + b2))
                     assert M.algebra.m[a][b] == {tgt: HALF * sign}
     assert M.algebra.unit == {x: Q.one() for x in range(4)}
+
+
+def translation_failure(M):
+    """First (h, a, b) where translation by h moves the product Y_a Y_b
+    elsewhere than to Y_ha Y_hb: the n^3 loop dual_movshev no longer runs."""
+    table, m, n = M.group.table, M.algebra.m, M.group.order
+    for h in range(n):
+        row = table[h]
+        for a in range(n):
+            for b in range(n):
+                moved = {row[c]: v for c, v in m[a][b].items()}
+                if m[row[a]][row[b]] != moved:
+                    return h, a, b
+    return None
+
+
+def gauge(tw, s, t):
+    """The gauge of tw by x = 4e + s + 2t, rescaled to counit 1."""
+    G = tw.group
+    x = TensorElement(G, 1, Q, {(G.identity,): Q.from_int(4),
+                                (s,): Q.from_int(1), (t,): Q.from_int(2)})
+    return gauge_transform(tw, x.scale(hopf_counit(x).inverse()))
+
+
+def test_translation_is_an_automorphism_of_every_dual():
+    """m[a][b][c] = J(c^-1 a, c^-1 b) is translation invariant for every J:
+    on the finder twists with |H| <= 16 (11 on abelian H, two not), the
+    catalog twists on H at orders 8, 9 and 12, gauge twists on nonabelian
+    groups, and a tensor that is no twist at all."""
+    twists = [twist_from_1cocycle(data) for entry in finder_scan(max_order=4)
+              for data in entry.cocycles]
+    assert len(twists) == 13
+    for order in (8, 9, 12):
+        twists += [datum.twist_H for datum in enumerate_quadruples(order)]
+    for G in (symmetric(3), dihedral(4), alternating4()):
+        twists.append(gauge(identity_twist(G, Q), *G.generating_sequence()))
+    rng = random.Random(3)
+    G = symmetric(3)
+    J = TensorElement(G, 2, Q, {(rng.randrange(6), rng.randrange(6)):
+                                Q.from_int(rng.randint(1, 5))
+                                for _ in range(8)})
+    twists.append(SimpleNamespace(group=G, field=Q, J=J))
+    for tw in twists:
+        assert translation_failure(dual_movshev(tw)) is None, tw.group.name
+    # the oracle sees a product moved by hand
+    M = dual_movshev(verify_twist(klein_twist()[1]))
+    M.algebra.m[0][1] = {0: Q.from_int(5)}
+    assert translation_failure(M) is not None
 
 
 def test_build_bj_row_at_identity_is_J():
@@ -271,6 +324,124 @@ def test_equivariant_match_pauli():
     # the untwisted algebra is commutative and cannot match End(V)
     bad = match_projective_rep(identity_twist(H, Q), pauli_rep())
     assert not bad.ok
+
+
+def combine_matrices(images, vec):
+    """sum_c vec[c] images[c] for matrix images."""
+    d = len(images[0])
+    out = [[Q.zero()] * d for _ in range(d)]
+    for c, v in vec.items():
+        for i, row in enumerate(images[c]):
+            for j, w in enumerate(row):
+                if w:
+                    out[i][j] = out[i][j] + v * w
+    return out
+
+
+def combine_vectors(images, vec):
+    """sum_c vec[c] images[c] for dict-vector images."""
+    out = {}
+    for c, v in vec.items():
+        for j, w in images[c].items():
+            out[j] = out.get(j, Q.zero()) + v * w
+    return {j: w for j, w in out.items() if w}
+
+
+def end_iso_oracle(M, rep, images):
+    """(failing pairs, equivariant) for equivariant_iso_report's map, by
+    the loops it no longer runs: every pair (a, b) and every (h, x)."""
+    group, field, n = M.group, M.field, M.group.order
+    bad = [(a, b) for a in range(n) for b in range(n)
+           if mat_mul(images[a], images[b], field) !=
+           combine_matrices(images, M.algebra.m[a][b])]
+    inverses = [mat_inverse(mat, field) for mat in rep.matrices]
+    equi = all(images[group.table[h][x]] == mat_mul(
+        mat_mul(rep.matrices[h], images[x], field), inverses[h], field)
+        for h in range(n) for x in range(n))
+    return bad, equi
+
+
+def dual_iso_oracle(M1, M2, images):
+    """(failing pairs, equivariant) for movshev_iso_report's map, by the
+    loops it no longer runs.  Row a keeps the products phi(Y_a) Y_j, so
+    phi(Y_a) phi(Y_b) is their combination by phi(Y_b)."""
+    table, n, one = M1.group.table, M1.group.order, M1.field.one()
+    bad = []
+    for a in range(n):
+        row = [M2.algebra.mult_vec(images[a], {j: one}) for j in range(n)]
+        bad += [(a, b) for b in range(n)
+                if combine_vectors(row, images[b]) !=
+                combine_vectors(images, M1.algebra.m[a][b])]
+    equi = all(images[table[h][x]] ==
+               {table[h][j]: v for j, v in images[x].items()}
+               for h in range(n) for x in range(n))
+    return bad, equi
+
+
+def iso_lines(report):
+    """(multiplicative, equivariant) as the report states them."""
+    lines = {name: ok for name, ok, _ in report.checks}
+    return lines["multiplicative"], lines["equivariant"]
+
+
+def klein_rho(H):
+    """rho = id + K g on the Klein dual B, as rows rho(Y_x) = sum_c
+    rows[x][c] Y_c.  K = Y_(0,1) - Y_e spans part of the kernel of left
+    multiplication by Y_e, and g(Y_(0,1)) = 1 = -g(Y_(1,1)) vanishes on
+    Y_e B = <Y_e, Y_(1,0)> and on the unit.  So phi o rho agrees with an
+    isomorphism phi at every pair (e, b), is bijective (1 + g(K) = 2) and
+    unital, but is not equivariant, and rho is no automorphism."""
+    e, y01, y11 = (H.index_of(t) for t in ((0, 0), (0, 1), (1, 1)))
+    one = Q.one()
+    rows = [{x: one} for x in range(H.order)]
+    rows[y01] = {y01: one + one, e: -one}
+    rows[y11] = {y11: one, y01: -one, e: one}
+    return rows
+
+
+def test_iso_reports_against_the_full_loops_under_mutation():
+    """Mutation 1 is multiplicative at every (e, b) but not equivariant:
+    "equivariant" fails, and "multiplicative" falls back to every pair and
+    fails with the first failing pair.  Mutation 2, the images times 3, is
+    equivariant and not multiplicative.  Mutation 3 is multiplicative and
+    fails equivariance only away from the first generator."""
+    H, J = klein_twist()
+    t1 = verify_twist(J)
+    x = rand_invertible(random.Random(29), H)
+    M1, M2, rep = dual_movshev(t1), dual_movshev(gauge_transform(t1, x)), \
+        pauli_rep()
+    cases = (
+        (lambda im: equivariant_iso_report(M1, rep, im),
+         lambda im: end_iso_oracle(M1, rep, im),
+         derive_equivariant_iso(M1, rep), combine_matrices),
+        (lambda im: movshev_iso_report(M1, M2, im),
+         lambda im: dual_iso_oracle(M1, M2, im),
+         gauge_movshev_images(t1, x), combine_vectors))
+    for report_of, oracle, phi, combine in cases:
+        assert report_of(phi).ok and oracle(phi) == ([], True)
+        mutant = [combine(phi, row) for row in klein_rho(H)]
+        bad, equi = oracle(mutant)
+        assert bad and all(a != H.identity for a, _ in bad) and not equi
+        report = report_of(mutant)
+        assert all(ok for _, ok, _ in report.checks[:3])    # bijective, unital
+        assert iso_lines(report) == (False, False)
+        a, b = bad[0]
+        assert report.checks[3][2].endswith(f"({H.labels[a]}, {H.labels[b]})")
+        three = [combine(phi, {c: Q.from_int(3)}) for c in range(H.order)]
+        bad, equi = oracle(three)
+        assert bad and equi
+        assert iso_lines(report_of(three)) == (False, True)
+    # Mutation 3: conjugation by P = 2 + pi(s), s the first generator, is
+    # an automorphism of End(V) that commutes with pi(s) but not with the
+    # second generator's matrix
+    s = H.generating_sequence()[0]
+    P = [[v + 2 * (i == j) for j, v in enumerate(row)]
+         for i, row in enumerate(rep.matrices[s])]
+    P_inv = mat_inverse(P, Q)
+    phi = derive_equivariant_iso(M1, rep)
+    mutant = [mat_mul(mat_mul(P, im, Q), P_inv, Q) for im in phi]
+    assert end_iso_oracle(M1, rep, mutant) == ([], False)
+    assert iso_lines(equivariant_iso_report(M1, rep, mutant)) == (True, False)
 
 
 def test_equivariant_iso_report_rejects_wrong_images():

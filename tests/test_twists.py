@@ -15,7 +15,7 @@ from twistlab.twists import (
     gauge_transform, r_matrix, twisted_coproduct, coassociativity_ok,
     twisted_antipode, drinfeld_element, r_u, check_triangular,
     verify_triangular, leg_span_rank, verify_minimal, GroupAlgebraMap,
-    Twist, TRIANGULAR_LINES, triangular_structure,
+    Twist, TRIANGULAR_LINES, TWIST_LINES, triangular_structure,
 )
 from twistlab.constructions import twist_from_1cocycle
 from twistlab.catalog import enumerate_quadruples, finder_scan
@@ -405,3 +405,19 @@ def test_lemma_route_matches_check_triangular_on_catalog_data():
                 s, t = tw.group.generating_sequence()
                 assert_lemma_matches_check_triangular(gauge(tw, s, t), where)
     assert len(twists_seen) == 18
+
+
+def test_twist_report_matches_check_twist():
+    """A Twist's report equals check_twist's report on its J, whichever
+    way the twist was certified: verify_twist, gauge_transform (also on
+    nonabelian groups) or embed_twist (the catalog at order 8)."""
+    tw = verify_twist(klein_twist()[1])
+    made = [tw, gauge(tw, 1, 2)]
+    made += [gauge(identity_twist(G, Q), *G.generating_sequence())
+             for G in (symmetric(3), dihedral(4))]
+    made += [datum.twist for datum in enumerate_quadruples(8)]
+    for tw in made:
+        oracle = check_twist(tw.J)
+        assert tw.report().checks == oracle.checks
+        assert tw.report().summary() == oracle.summary()
+    assert [name for name, _, _ in oracle.checks] == list(TWIST_LINES)
