@@ -241,9 +241,9 @@ def mat_ratio(mat, base, field):
     if pivot is None:
         return field.zero() if not any(any(r) for r in mat) else None
     ratio = mat[pivot[0]][pivot[1]] * base[pivot[0]][pivot[1]].inverse()
-    for i in range(len(base)):
-        for j in range(len(base[0])):
-            if mat[i][j] != base[i][j] * ratio:
+    for row, brow in zip(mat, base):
+        for m, b in zip(row, brow):
+            if (m != b * ratio) if b else m:
                 return None
     return ratio
 

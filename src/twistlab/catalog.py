@@ -351,9 +351,7 @@ def realize_quadruple(q, seed=0):
     twist_H = twist_from_rep(q.V, seed=seed)
     M = dual_movshev(twist_H)
     simple = certify_simple(M)
-    nh = M.group.order
-    characters = regular_character_report(
-        M.group, [M.action_matrix(h) for h in range(nh)], field)
+    characters = regular_character_report(M.group, field)
     twist = embed_twist(twist_H, G, q.H.embedding)
     r, triangular = triangular_structure(twist, q.u)
     u_el = drinfeld_element(r, twisted_antipode(twist),

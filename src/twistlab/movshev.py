@@ -4,7 +4,8 @@ A twist J on k[H] makes k[H] a coalgebra with coproduct D(x) = (x (x) x) J.
 The dual is an |H|-dimensional algebra B with basis {Y_x}; H acts on it by
 translating indices, by automorphisms for every J, and for minimal twists B
 is a matrix algebra.  This module builds B, certifies simplicity and the
-regular-character property, counts grouplikes of twisted group algebras,
+regular-character property (translation permutes the basis, so a trace
+is a count of fixed points), counts grouplikes of twisted group algebras,
 trivializes symmetric twists over abelian groups, and matches B against
 projective representations by H-equivariant algebra isomorphisms.
 
@@ -66,14 +67,6 @@ class MovshevAlgebra:
     def act_index(self, h, x):
         return self.group.table[h][x]
 
-    def action_matrix(self, h):
-        n = self.group.order
-        zero, one = self.field.zero(), self.field.one()
-        mat = [[zero] * n for _ in range(n)]
-        for x in range(n):
-            mat[self.group.table[h][x]][x] = one
-        return mat
-
 
 def dual_movshev(twist):
     """B = (k[H], D)^* with basis {Y_x}; H acts by h.Y_x = Y_{hx}.
@@ -107,30 +100,20 @@ def certify_simple(M):
     return report
 
 
-def regular_character_report(group, matrices, field):
-    """Traces must be |G| at the identity and 0 elsewhere."""
+def regular_character_report(group, field):
+    """The character of translation h.Y_x = Y_{hx} on the dual algebra.
+
+    The action permutes the basis {Y_x}, so the trace at h is the number
+    of x with hx = x, read off the group table: |G| at the identity and 0
+    elsewhere in a group.
+    """
     report = CheckReport(f"regular character over {group.name}")
-    n = len(matrices[0])
-    for g in range(group.order):
-        tr = field.zero()
-        for i in range(n):
-            tr = tr + matrices[g][i][i]
-        want = field.from_int(group.order) if g == group.identity \
-            else field.zero()
-        report.add(f"trace at {group.labels[g]}", tr == want,
+    table, n = group.table, group.order
+    for h in range(n):
+        tr = field.from_int(sum(1 for x in range(n) if table[h][x] == x))
+        want = field.from_int(n) if h == group.identity else field.zero()
+        report.add(f"trace at {group.labels[h]}", tr == want,
                    f"trace {tr}, expected {want}")
-    return report
-
-
-def certify_regular_action(M):
-    """Character of the translation action on the dual algebra."""
-    report = CheckReport(f"regular action over {M.group.name}")
-    table = M.group.table
-    for h in range(M.group.order):
-        fixed = sum(1 for x in range(M.group.order) if table[h][x] == x)
-        want = M.group.order if h == M.group.identity else 0
-        report.add(f"trace at {M.group.labels[h]}", fixed == want,
-                   f"{fixed} fixed points, expected {want}")
     return report
 
 

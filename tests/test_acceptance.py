@@ -413,9 +413,7 @@ def _assert_movshev_certificates(tw, where):
     assert center == 1, f"{where}: center dimension {center}"
     simple = certify_simple(M)
     assert simple.ok, f"{where}:\n{simple.summary()}"
-    n = M.group.order
-    chars = regular_character_report(
-        M.group, [M.action_matrix(h) for h in range(n)], tw.field)
+    chars = regular_character_report(M.group, tw.field)
     assert chars.ok, f"{where}:\n{chars.summary()}"
 
 

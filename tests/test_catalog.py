@@ -408,7 +408,7 @@ def test_modular_certificates_match_exact_path(monkeypatch):
 
     monkeypatch.setattr(algebra, "_modular_rank", spy)
     fast = certificates()
-    assert len(twists) == 13 and decided.count(True) == 3 * len(twists)
+    assert len(twists) == 13 and decided.count(True) == 2 * len(twists)
     monkeypatch.setattr(algebra, "_modular_rank", lambda rows, target: None)
     assert certificates() == fast
 

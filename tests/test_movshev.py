@@ -5,18 +5,19 @@ from types import SimpleNamespace
 import pytest
 
 from twistlab.scalars import Cyc, CyclotomicField, PrimeField
-from twistlab.groups import (make_cyclic, abelian_group, alternating4,
-                             dihedral, symmetric)
+from twistlab.groups import (FiniteGroup, make_cyclic, abelian_group,
+                             alternating4, dihedral, symmetric)
 from twistlab.algebra import (
     AbelianCharacters, TensorElement, AlgebraError, algebra_invert,
     hopf_coproduct, hopf_counit, mat_inverse, mat_mul,
 )
-from twistlab.twists import verify_twist, identity_twist, gauge_transform
+from twistlab.twists import (CheckReport, verify_twist, identity_twist,
+                             gauge_transform)
 from twistlab.constructions import twist_from_1cocycle
 from twistlab.catalog import enumerate_quadruples, finder_scan
 from twistlab.movshev import (
     MovshevError, build_BJ, dual_movshev, certify_simple,
-    regular_character_report, certify_regular_action, count_grouplikes,
+    regular_character_report, count_grouplikes,
     rational_sqrt_cyclotomic, kth_root_scalar, trivialize_symmetric_twist,
     match_projective_rep, derive_equivariant_iso, equivariant_iso_report,
     gauge_movshev_images, movshev_iso_report,
@@ -75,7 +76,7 @@ def test_dual_of_identity_twist_is_function_algebra():
     # the dual of a function algebra is nothing like a matrix algebra
     assert not certify_simple(M).ok
     # but the translation action is still the regular one
-    assert certify_regular_action(M).ok
+    assert regular_character_report(M.group, M.field).ok
 
 
 def test_klein_dual_matches_closed_form():
@@ -154,11 +155,38 @@ def test_build_bj_row_at_identity_is_J():
     assert all(v == Q.one() for v in counit)
 
 
+def action_matrix(group, field, h):
+    """The dense permutation matrix of Y_x -> Y_hx, which the regular
+    character report no longer builds."""
+    n = group.order
+    zero, one = field.zero(), field.one()
+    mat = [[zero] * n for _ in range(n)]
+    for x in range(n):
+        mat[group.table[h][x]][x] = one
+    return mat
+
+
+def dense_character_report(group, field):
+    """The regular character report from the diagonals of the dense action
+    matrices: the oracle for the fixed-point count."""
+    report = CheckReport(f"regular character over {group.name}")
+    n = group.order
+    for g in range(n):
+        mat = action_matrix(group, field, g)
+        tr = field.zero()
+        for i in range(n):
+            tr = tr + mat[i][i]
+        want = field.from_int(n) if g == group.identity else field.zero()
+        report.add(f"trace at {group.labels[g]}", tr == want,
+                   f"trace {tr}, expected {want}")
+    return report
+
+
 def test_translation_action_matrices():
     H, J = klein_twist()
     M = dual_movshev(verify_twist(J))
     for h in range(4):
-        mat = M.action_matrix(h)
+        mat = action_matrix(H, Q, h)
         for x in range(4):
             assert mat[M.act_index(h, x)][x] == Q.one()
         assert sum(1 for i in range(4) for j in range(4) if mat[i][j]) == 4
@@ -178,14 +206,27 @@ def test_certify_simple_klein():
 
 
 def test_regular_character_report_on_translation_matrices():
-    H, J = klein_twist()
-    M = dual_movshev(verify_twist(J))
-    mats = [M.action_matrix(h) for h in range(4)]
-    assert regular_character_report(H, mats, Q).ok
-    # constant identity matrices have the wrong traces away from e
-    ident = mats[0]
-    bad = regular_character_report(H, [ident] * 4, Q)
-    assert not bad.ok
+    """The fixed-point count against the traces of the dense translation
+    matrices, on groups and on a table that is no group, where an element
+    other than the identity fixes a point and the report fails with the
+    dense trace as its witness."""
+    F7 = PrimeField(7)
+    cases = [(G, field) for G in (abelian_group((2, 2)), symmetric(3),
+                                  dihedral(4), alternating4(),
+                                  abelian_group((2, 4)))
+             for field in (Q, F7)]
+    not_a_group = FiniteGroup([[0, 1, 2], [1, 0, 2], [2, 1, 0]],
+                              validate=False)
+    cases += [(not_a_group, Q), (not_a_group, F7)]
+    for group, field in cases:
+        report = regular_character_report(group, field)
+        oracle = dense_character_report(group, field)
+        assert report.checks == oracle.checks, group.name
+        assert report.summary() == oracle.summary()
+        assert report.ok == (group is not not_a_group)
+    assert regular_character_report(not_a_group, Q).failures() == [
+        ("trace at g1", "trace Q(z_1) 1, expected Q(z_1) 0"),
+        ("trace at g2", "trace Q(z_1) 1, expected Q(z_1) 0")]
 
 
 def test_count_grouplikes():

@@ -8,7 +8,8 @@ from twistlab import twists
 from twistlab.groups import (make_cyclic, abelian_group, alternating4,
                              dihedral, symmetric)
 from twistlab.algebra import (
-    TensorElement, AlgebraError, algebra_invert, hopf_counit, regular_trace,
+    TensorElement, AlgebraError, algebra_invert, hopf_counit, mat_rank,
+    regular_trace,
 )
 from twistlab.twists import (
     TwistError, first_difference, check_twist, verify_twist, identity_twist,
@@ -109,8 +110,8 @@ def test_klein_twist_drinfeld_element_is_identity():
 
 def test_abelian_twisted_antipode_is_the_conjugation():
     """Over an abelian group S_J(g) = g^-1 is read off without conjugating;
-    Q^-1 g^-1 Q, the general formula, is the reference.  Q is still
-    inverted, so a singular Q still raises."""
+    Q^-1 g^-1 Q, the general formula, is the reference.  Q U = 1 is still
+    checked, so a singular Q still raises."""
     rng = random.Random(5)
     C2xC4 = abelian_group((2, 4))
     klein = verify_twist(klein_twist()[1])
@@ -421,3 +422,100 @@ def test_twist_report_matches_check_twist():
         assert tw.report().checks == oracle.checks
         assert tw.report().summary() == oracle.summary()
     assert [name for name, _, _ in oracle.checks] == list(TWIST_LINES)
+
+
+def antipode_axiom_failure(tw, smap):
+    """First label g where m(S_J (x) I) Delta_J(g) or m(I (x) S_J) Delta_J(g)
+    is not eps(g) 1 = 1: the loop twisted_antipode no longer runs."""
+    unit1 = TensorElement.unit(tw.group, 1, tw.field)
+    for g in range(tw.group.order):
+        d = tw.coproduct_basis(g)
+        if twists._fold_map(d, smap, 0) != unit1 or \
+                twists._fold_map(d, smap, 1) != unit1:
+            return tw.group.labels[g]
+    return None
+
+
+def conjugators(tw):
+    """(Q, U) = (m(S (x) I)(J), m(I (x) S)(J^-1))."""
+    return (tw.J.antipode_leg(0).merge_legs(0, 1),
+            tw.j_inv.antipode_leg(1).merge_legs(0, 1))
+
+
+def nonabelian_gauges():
+    return [gauge(identity_twist(G, Q), *G.generating_sequence())
+            for G in (symmetric(3), dihedral(4), alternating4())]
+
+
+def test_twisted_antipode_against_the_axiom_oracle():
+    """Both antipode axioms for (Delta_J, eps, S_J) on every basis element,
+    and U = Q^-1 from scratch, on the finder twists with |H| <= 16 (the two
+    on the nonabelian C2xC2-on-C4 group among them), every catalog twist at
+    orders 8, 9 and 12, and the S3, D4 and A4 gauge twists."""
+    cases = [twist_from_1cocycle(data) for entry in finder_scan(max_order=4)
+             for data in entry.cocycles]
+    assert len(cases) == 13
+    for order in (8, 9, 12):
+        cases += [datum.twist for datum in enumerate_quadruples(order)]
+    cases += nonabelian_gauges()
+    nonabelian = 0
+    for tw in cases:
+        smap = twisted_antipode(tw)
+        assert antipode_axiom_failure(tw, smap) is None, tw.group.name
+        conj, conj_inv = conjugators(tw)
+        assert conj_inv == algebra_invert(conj), tw.group.name
+        nonabelian += not tw.group.is_abelian()
+    assert nonabelian == 17
+
+
+def test_antipode_mutations_are_caught():
+    """The swapped conjugation Q S Q^-1 fails the axiom oracle on every
+    nonabelian gauge twist, and a Twist carrying a wrong inverse raises."""
+    for tw in nonabelian_gauges():
+        G = tw.group
+        conj, conj_inv = conjugators(tw)
+        assert conj != TensorElement.unit(G, 1, Q)
+        swapped = GroupAlgebraMap(G, Q, [
+            conj * TensorElement.basis(G, (G.inv[g],), Q) * conj_inv
+            for g in range(G.order)])
+        assert antipode_axiom_failure(tw, twisted_antipode(tw)) is None
+        assert antipode_axiom_failure(tw, swapped) is not None, G.name
+        wrong = Twist(tw.J, identity_twist(G, Q).j_inv)
+        with pytest.raises(TwistError,
+                           match="^antipode conjugator is not invertible"):
+            twisted_antipode(wrong)
+
+
+def test_twisted_antipode_inverts_nothing_and_checks_no_axiom(monkeypatch):
+    """S_J conjugates by the U read off the carried J^-1: no inversion and
+    no twisted coproduct, on the A4 gauge twist, where inverting Q took
+    the Krylov route."""
+    tw = nonabelian_gauges()[2]
+    with monkeypatch.context() as m:
+        forbid(m, "algebra_invert")
+        m.setattr(Twist, "coproduct_basis", lambda self, g: pytest.fail(
+            "coproduct_basis was called"))
+        smap = twisted_antipode(tw)
+    assert antipode_axiom_failure(tw, smap) is None
+
+
+def test_leg_span_rank_ranks_once(monkeypatch):
+    """One mat_rank call per R; the rank of the columns, which is no longer
+    computed, is the oracle."""
+    cases = [r_matrix(twist_from_1cocycle(data))
+             for entry in finder_scan(max_order=4) for data in entry.cocycles]
+    cases += [r_matrix(tw) for tw in nonabelian_gauges()]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return mat_rank(*args, **kwargs)
+    monkeypatch.setattr(twists, "mat_rank", counted)
+    for r in cases:
+        n, zero = r.group.order, Q.zero()
+        cols = {}
+        for (a, b), v in r.coeffs.items():
+            cols.setdefault(b, [zero] * n)[a] = v
+        del calls[:]
+        assert leg_span_rank(r.group, r) == mat_rank(list(cols.values()), n)
+        assert len(calls) == 1
